@@ -2,13 +2,13 @@
 
 The toolkit computes the lq-regularized Euclidean projection for any
 q >= 1 (closed forms at q = 1, 2, inf; nested zero-finding otherwise),
-applies it group-wise, and uses it inside an accelerated proximal-gradient
-solver with warm-started regularization paths.
+applies it to all groups at once with one batched kernel per q, and uses
+it inside an accelerated proximal-gradient solver with warm-started
+regularization paths.
 """
 
 from .grouped import (
     GroupedVector,
-    NormSpec,
     dual_exponent,
     group_norms,
     mixed_norm,
@@ -47,21 +47,12 @@ from .prox import (
     prox_lq_general,
     prox_objective,
 )
-from .rootfind import (
-    BadBracketError,
-    Bracket,
-    NoConvergenceError,
-    RootConfig,
-    bisect,
-    h_root,
-    l1_ball_threshold,
-)
+from .rootfind import RootConfig, l1_ball_threshold
 from .solver import (
     NumericalFailure,
     Problem,
     SolverConfig,
     SolverResult,
-    SolverState,
     lambda_max,
     model_value,
     prox_step,

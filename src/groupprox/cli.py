@@ -26,7 +26,7 @@ from .grouped import GroupedVector
 from .losses import Dataset, LossKind, row_group_offsets
 from .oracle import OracleFailure, fixed_point_trace
 from .prox import ProjectionError, optimality_residual, prox_grouped, prox_lq_general
-from .rootfind import BadBracketError, NoConvergenceError, RootConfig
+from .rootfind import RootConfig
 from .solver import NumericalFailure, Problem, SolverConfig, solve
 
 __all__ = ["main"]
@@ -295,12 +295,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalFailure, ProjectionError, NoConvergenceError,
-            OracleFailure) as exc:
+    except (NumericalFailure, ProjectionError, OracleFailure) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError,
-            BadBracketError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

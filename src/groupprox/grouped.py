@@ -6,13 +6,12 @@ largest magnitude first so that large exponents do not overflow.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GroupedVector",
-    "NormSpec",
     "dual_exponent",
     "q_norm",
     "mixed_norm",
@@ -36,25 +35,6 @@ def dual_exponent(q):
     if q <= 1.0 + _Q_ONE_TOL:
         return math.inf
     return q / (q - 1.0)
-
-
-@dataclass(frozen=True)
-class NormSpec:
-    """An lq-norm exponent together with its conjugate.
-
-    Infinity is carried as ``math.inf``, Python's canonical IEEE marker, so
-    ordinary comparisons (``q == math.inf``, ``q > 2``) work throughout.
-    """
-
-    q: float
-    q_dual: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "q_dual", dual_exponent(self.q))
-
-    @property
-    def is_inf(self):
-        return math.isinf(self.q)
 
 
 @dataclass

@@ -11,6 +11,9 @@ per-coordinate roots of x + c*x**(q-1) = v_i. The outer search runs over
 log(c) because the bracket endpoints can span hundreds of orders of
 magnitude for large q; inner brackets are warm-started from the roots at
 the current outer endpoints, which shrink as the outer interval does.
+
+Each form is one kernel batched over all groups of a flat vector, given as
+(values, offsets); the single-vector projections are its one-group case.
 """
 
 import math
@@ -20,7 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .grouped import GroupedVector, dual_exponent, group_norms, q_norm
-from .rootfind import RootConfig, l1_ball_threshold
+from .rootfind import RootConfig, _l1_ball_thresholds
+# kept importable from here: perfbench's tracer hooks it by this module's name
+from .rootfind import l1_ball_threshold  # noqa: F401
 
 __all__ = [
     "ProxDiagnostics",
@@ -83,18 +88,39 @@ def prox_l1(v, lam):
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
 
+def _one_group(v):
+    return np.array([0, v.size], dtype=np.intp)
+
+
 def prox_l2(v, lam):
-    """Closed form for q = 2: scale v by (||v||_2 - lam)/||v||_2."""
+    """Closed form for q = 2: scale v by max(0, (||v||_2 - lam)/||v||_2)."""
     v = np.asarray(v, dtype=float)
-    nrm = q_norm(v, 2.0)
-    return ((nrm - lam) / nrm) * v
+    return _prox_l2_groups(v, _one_group(v), lam)
 
 
 def prox_linf(v, lam):
     """Semi-closed form for q = inf: clip |v| at the l1-ball threshold t*."""
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     v = np.asarray(v, dtype=float)
-    t_star = l1_ball_threshold(np.abs(v), lam)
-    return np.sign(v) * np.minimum(np.abs(v), t_star)
+    return _prox_linf_groups(v, _one_group(v), lam)
+
+
+def _prox_l2_groups(vals, offsets, lam):
+    """Batched q = 2 projection: each group scaled by max(0, 1 - lam/||v_g||)."""
+    norms = group_norms(vals, offsets, 2.0)
+    factor = np.maximum(0.0, 1.0 - lam / np.where(norms > 0.0, norms, 1.0))
+    # snap groups within rounding error of the boundary to exact zero
+    factor[norms - lam <= _BOUNDARY_RTOL * norms] = 0.0
+    return vals * np.repeat(factor, np.diff(offsets))
+
+
+def _prox_linf_groups(vals, offsets, lam):
+    """Batched q = inf projection: clip each group at its l1-ball threshold."""
+    a = np.abs(vals)
+    t, l1 = _l1_ball_thresholds(a, offsets, lam)
+    t = np.where(l1 - lam > _BOUNDARY_RTOL * l1, t, 0.0)
+    return np.sign(vals) * np.minimum(a, np.repeat(t, np.diff(offsets)))
 
 
 def _log_c_candidates(v_abs, epsilon, q):
@@ -104,7 +130,7 @@ def _log_c_candidates(v_abs, epsilon, q):
 
 
 def c_interval(v_abs, epsilon, q):
-    """Bracket [c_low, c_high] containing the outer root c*.
+    """Interval [c_low, c_high] bracketing the outer root c*.
 
     The candidates are c_i evaluated at the per-coordinate upper bounds
     v_i*epsilon; the extremes over i bracket the root for any q in (1, inf).
@@ -215,12 +241,13 @@ def phi(c, v_abs, lam, q, cfg: RootConfig = None):
     return lam * math.exp(log_psi) - c
 
 
-def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, cfg):
+def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, groups, cfg):
     """Outer/inner nested bisection on strictly positive grouped data.
 
     ``av`` holds the positive magnitudes of all active groups back to back,
     ``gid`` maps coordinates to group index, ``eps_g`` is the per-group
-    epsilon. All groups are bisected synchronously over u = log(c).
+    epsilon and ``groups`` the caller's index of each group, for errors.
+    All groups are bisected synchronously over u = log(c).
     Returns (x, u_star_per_group, outer_iters, inner_total).
     """
     log_lam = math.log(lam)
@@ -248,7 +275,7 @@ def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, cfg):
         raise ProjectionError(
             "phi endpoint signs inconsistent",
             epsilon=float(eps_g[g]), c_low=math.exp(u1[g]), c_high=math.exp(u2[g]),
-            phi_low=float(s1[g]), phi_high=float(s2[g]),
+            phi_low=float(s1[g]), phi_high=float(s2[g]), group=int(groups[g]),
         )
     # Endpoint roots: collapse the bracket there.
     at_lo = s1 <= 0.0
@@ -262,9 +289,11 @@ def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, cfg):
     while np.max(u2 - u1) > tol_u:
         outer += 1
         if outer > cfg.max_iter:
+            g = int(np.argmax(u2 - u1))
             raise ProjectionError(
                 f"outer bisection exceeded max_iter={cfg.max_iter}",
-                c_low=float(np.exp(u1).min()), c_high=float(np.exp(u2).max()),
+                epsilon=float(eps_g[g]), c_low=math.exp(u1[g]),
+                c_high=math.exp(u2[g]), group=int(groups[g]),
             )
         um = 0.5 * (u1 + u2)
         xm, sw = _inner_roots(av, um[gid], q, tol_x, lo=xb, hi=xa)
@@ -283,6 +312,49 @@ def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, cfg):
     return x, u_star, outer, inner_total
 
 
+def _prox_lq_groups(vals, offsets, lam, q, cfg):
+    """Batched general-q projection over all groups of a flat vector, lam > 0.
+
+    Groups at or within rounding error of the dual-norm boundary project to
+    exact zero; a group with one nonzero coordinate is soft-thresholded,
+    since every q-norm of a scalar is its magnitude; the rest go through
+    the nested bisection together, with their zero coordinates dropped.
+    Returns (x, c_star, eps, outer_iters, inner_sweeps), where c_star and
+    eps are per group: c_star is nan where no bisection ran, eps is 0 where
+    the projection is zero.
+    """
+    sizes = np.diff(offsets)
+    dual = group_norms(vals, offsets, dual_exponent(q))
+    active = dual - lam > _BOUNDARY_RTOL * dual
+    eps = np.zeros_like(dual)
+    eps[active] = (dual[active] - lam) / dual[active]
+    nonzero = vals != 0.0
+    nnz = np.add.reduceat(nonzero.astype(np.intp), offsets[:-1])
+    out = np.zeros_like(vals)
+    c_star = np.full(dual.size, np.nan)
+
+    single = np.repeat(active & (nnz == 1), sizes) & nonzero
+    out[single] = np.sign(vals[single]) * (np.abs(vals[single]) - lam)
+
+    nested = active & (nnz > 1)
+    if not np.any(nested):
+        return out, c_star, eps, 0, 0
+    sel = np.repeat(nested, sizes) & nonzero
+    av = np.abs(vals[sel])
+    # zero coordinates drop out but group contiguity is preserved
+    sub_sizes = nnz[nested]
+    sub_starts = np.concatenate(([0], np.cumsum(sub_sizes)[:-1]))
+    gid = np.repeat(np.arange(sub_sizes.size), sub_sizes)
+    groups = np.flatnonzero(nested)
+    x, u_star, outer, inner = _solve_positive_groups(
+        av, sub_starts, sub_sizes, gid, lam, q, eps[nested], groups, cfg
+    )
+    out[sel] = np.sign(vals[sel]) * x
+    with np.errstate(over="ignore"):
+        c_star[nested] = np.exp(u_star)
+    return out, c_star, eps, outer, inner
+
+
 def prox_lq_general(v, lam, q, cfg: RootConfig = None):
     """General-q projection via the nested zero-finding scheme.
 
@@ -297,65 +369,21 @@ def prox_lq_general(v, lam, q, cfg: RootConfig = None):
     if cfg is None:
         cfg = RootConfig()
     v = np.asarray(v, dtype=float)
-    if lam == 0.0:
+    if lam == 0.0 or v.size == 0:
         return v.copy(), ProxDiagnostics(None, 0.0, 0, 0, 0.0)
-
-    out = np.zeros_like(v)
-    nz = v != 0.0
-    a = np.abs(v[nz])
-    dual = q_norm(a, dual_exponent(q))
-    if dual == 0.0 or dual - lam <= _BOUNDARY_RTOL * dual:
-        return out, ProxDiagnostics(None, 0.0, 0, 0, 0.0)
-    eps = (dual - lam) / dual
-    if a.size == 1:
-        # any q-norm of a scalar is its magnitude: exact soft threshold
-        out[nz] = np.sign(v[nz]) * (a - lam)
-        return out, ProxDiagnostics(None, eps, 0, 0,
-                                    optimality_residual(out, v, lam, q))
-
-    starts = np.array([0], dtype=np.intp)
-    sizes = np.array([a.size], dtype=np.intp)
-    gid = np.zeros(a.size, dtype=np.intp)
-    x, u_star, outer, inner = _solve_positive_groups(
-        a, starts, sizes, gid, lam, q, np.array([eps]), cfg
-    )
-    out[nz] = np.sign(v[nz]) * x
-    with np.errstate(over="ignore"):
-        c_star = float(np.exp(u_star[0]))
-    residual = optimality_residual(out, v, lam, q)
-    return out, ProxDiagnostics(c_star, eps, outer, inner, residual)
-
-
-def _prox_grouped_general(vals, offsets, lam, q, cfg):
-    """Batched general-q projection over all groups of a flat vector."""
-    sizes = np.diff(offsets)
-    dual = group_norms(vals, offsets, dual_exponent(q))
-    active = dual - lam > _BOUNDARY_RTOL * dual
-    out = np.zeros_like(vals)
-    if not np.any(active):
-        return out
-
-    active_coord = np.repeat(active, sizes)
-    sel = active_coord & (vals != 0.0)
-    av = np.abs(vals[sel])
-    # zero coordinates drop out but group contiguity is preserved
-    sub_sizes = np.add.reduceat(sel.astype(np.intp), offsets[:-1])[active]
-    sub_starts = np.concatenate(([0], np.cumsum(sub_sizes)[:-1]))
-    gid = np.repeat(np.arange(sub_sizes.size), sub_sizes)
-    eps_g = (dual[active] - lam) / dual[active]
-
-    x, _, _, _ = _solve_positive_groups(
-        av, sub_starts, sub_sizes, gid, lam, q, eps_g, cfg
-    )
-    out[sel] = np.sign(vals[sel]) * x
-    return out
+    x, c_star, eps, outer, inner = _prox_lq_groups(v, _one_group(v), lam, q, cfg)
+    if eps[0] == 0.0:
+        return x, ProxDiagnostics(None, 0.0, 0, 0, 0.0)
+    c = None if np.isnan(c_star[0]) else float(c_star[0])
+    return x, ProxDiagnostics(c, float(eps[0]), outer, inner,
+                              optimality_residual(x, v, lam, q))
 
 
 def prox_grouped(v: GroupedVector, lam, q, cfg: RootConfig = None) -> GroupedVector:
-    """Apply the per-group projection dispatcher to every group.
+    """Apply the lq projection to every group with one batched kernel per q.
 
-    Dispatch: zero test first, then the q = 1 / 2 / inf closed or
-    semi-closed forms, else the general nested bisection.
+    q = 1 is the flat soft threshold, q = 2 and q = inf the batched closed
+    and semi-closed forms, any other q > 1 the batched nested bisection.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -364,33 +392,16 @@ def prox_grouped(v: GroupedVector, lam, q, cfg: RootConfig = None) -> GroupedVec
     if lam == 0.0:
         return v.copy()
     vals, offsets = v.values, v.offsets
-    sizes = v.group_sizes()
-
     if q == 1.0:
-        return v.with_values(prox_l1(vals, lam))
-    if q == 2.0:
-        norms = group_norms(vals, offsets, 2.0)
-        factor = np.maximum(0.0, 1.0 - lam / np.where(norms > 0.0, norms, 1.0))
-        # snap groups within rounding error of the boundary to exact zero
-        factor[norms - lam <= _BOUNDARY_RTOL * norms] = 0.0
-        return v.with_values(vals * np.repeat(factor, sizes))
-    if math.isinf(q):
-        out = np.zeros_like(vals)
-        for i in range(v.n_groups):
-            g = v.group(i)
-            l1 = float(np.abs(g).sum())
-            if l1 - lam > _BOUNDARY_RTOL * l1:
-                try:
-                    out[offsets[i]:offsets[i + 1]] = prox_linf(g, lam)
-                except Exception as exc:
-                    raise ProjectionError(str(exc), group=i) from exc
-        return v.with_values(out)
-    if not q > 1.0:
+        out = prox_l1(vals, lam)
+    elif q == 2.0:
+        out = _prox_l2_groups(vals, offsets, lam)
+    elif math.isinf(q):
+        out = _prox_linf_groups(vals, offsets, lam)
+    elif q > 1.0:
+        out = _prox_lq_groups(vals, offsets, lam, q, cfg)[0]
+    else:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
-    try:
-        out = _prox_grouped_general(vals, offsets, lam, q, cfg)
-    except ProjectionError:
-        raise
     return v.with_values(out)
 
 

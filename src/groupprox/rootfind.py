@@ -1,22 +1,15 @@
-"""Scalar zero-finding kernels.
+"""Zero-finding settings and the exact l1-ball threshold.
 
-Bracketing bisection, the per-coordinate shrinkage root of
-x + c*x**(q-1) = v, and the exact piecewise-linear l1-ball threshold.
+The threshold is computed for every group of a flat vector at once; the
+single-vector ``l1_ball_threshold`` is its one-group case.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Bracket",
     "RootConfig",
-    "BadBracketError",
-    "NoConvergenceError",
-    "bisect",
-    "h_value",
-    "h_root",
     "l1_ball_threshold",
 ]
 
@@ -33,105 +26,47 @@ class RootConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-@dataclass
-class Bracket:
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
+def _l1_ball_thresholds(a, offsets, lam):
+    """Per-group root t_g of sum_{i in g} max(a_i - t, 0) = lam, for a >= 0.
 
-
-class BadBracketError(ValueError):
-    """The initial interval does not straddle a sign change."""
-
-
-class NoConvergenceError(RuntimeError):
-    """Bisection hit max_iter; carries the last bracket."""
-
-    def __init__(self, bracket: Bracket):
-        super().__init__(
-            f"bisection did not converge; last bracket [{bracket.lo}, {bracket.hi}]"
-        )
-        self.bracket = bracket
-
-
-def bisect(f, bracket: Bracket, cfg: RootConfig = None):
-    """Find a root of f inside a sign-changing bracket.
-
-    Returns x with |x - root| <= cfg.delta. An endpoint with f exactly zero
-    is returned immediately. The bracket keeps a sign change at every step.
+    Sorts each group's magnitudes in decreasing order and scans the
+    piecewise-linear segments, so no iterative tolerance is involved: on the
+    segment where the j largest entries are active, t = (top_j - lam)/j.
+    Returns (t, l1) per group; t is meaningful only where lam < l1.
     """
-    if cfg is None:
-        cfg = RootConfig()
-    lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
-    if lo > hi:
-        raise BadBracketError(f"bracket is reversed: [{lo}, {hi}]")
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise BadBracketError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-    for _ in range(cfg.max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 2.0 * cfg.delta:
-            return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    raise NoConvergenceError(Bracket(lo, hi, f_lo, f_hi))
-
-
-def _pow_frac(x, e):
-    """x**e for x >= 0 via exp(e*log x), with x == 0 mapped to 0 (e > 0)."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    np.exp(e * np.log(x, where=pos, out=np.full_like(x, -np.inf)), out=out, where=pos)
-    return out
-
-
-def h_value(x, v, c, q):
-    """h(x) = x + c*x**(q-1) - v, elementwise."""
-    return x + c * _pow_frac(x, q - 1.0) - v
-
-
-def h_root(v, c, q, cfg: RootConfig = None, hint=None):
-    """Unique root in (0, v) of x + c*x**(q-1) = v, for 1 < q < inf.
-
-    ``hint`` is an optional (lo, hi) interval from roots already computed at
-    bracketing values of c; the search starts there instead of (0, v).
-    """
-    if not (v > 0 and c > 0 and 1.0 < q < math.inf):
-        raise ValueError(f"h_root needs v > 0, c > 0, 1 < q < inf; got {(v, c, q)}")
-    if cfg is None:
-        cfg = RootConfig()
-
-    def f(x):
-        return float(h_value(x, v, c, q))
-
-    if hint is not None:
-        lo = max(0.0, hint[0] - cfg.delta)
-        hi = min(v, hint[1] + cfg.delta)
-        if lo < hi:
-            f_lo, f_hi = f(lo), f(hi)
-            if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0.0) != (f_hi < 0.0):
-                return bisect(f, Bracket(lo, hi, f_lo, f_hi), cfg)
-    # h(0) = -v < 0 and h(v) = c*v**(q-1) > 0: always a valid bracket.
-    return bisect(f, Bracket(0.0, v, -v, f(v)), cfg)
+    starts = offsets[:-1]
+    sizes = np.diff(offsets)
+    # sort by -a, then stably by group: group ids of at most 16 bits let
+    # numpy use a radix sort for the second pass
+    order = np.argsort(-a)
+    gid = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)),
+                    sizes)
+    order = order[np.argsort(gid[order], kind="stable")]
+    u = a[order]
+    l1 = np.add.reduceat(a, starts)
+    # Count the active entries from one cumulative sum over all groups, each
+    # scaled to unit l1 norm so earlier groups cost little precision; then
+    # take each group's exact top-j sum, so no sum crosses a group boundary.
+    scale = np.repeat(np.where(l1 > 0.0, l1, 1.0), sizes)
+    us = u / scale
+    css = np.cumsum(us)
+    css -= np.repeat(np.concatenate(([0.0], css[offsets[1:-1] - 1])), sizes)
+    rank = np.arange(1, u.size + 1) - np.repeat(starts, sizes)
+    with np.errstate(over="ignore"):  # lam/l1 overflows only where lam > l1
+        active = us > (css - lam / scale) / rank
+    # the largest entry is active unless lam is below its rounding error
+    j = np.maximum(np.add.reduceat(active.astype(np.intp), starts), 1)
+    # reduceat over [start, start + j) pairs; the appended zero lets
+    # start + j reach the end of the array
+    bounds = np.column_stack((starts, starts + j)).ravel()
+    top = np.add.reduceat(np.append(u, 0.0), bounds)[::2]
+    return (top - lam) / j, l1
 
 
 def l1_ball_threshold(v_abs, lam):
     """Exact root t* of sum_i max(v_abs_i - t, 0) = lam.
 
-    Requires lam < sum(v_abs); sorts the breakpoints and scans the
-    piecewise-linear segments, so no iterative tolerance is involved.
+    Requires 0 < lam < sum(v_abs).
     """
     v_abs = np.asarray(v_abs, dtype=float)
     if not lam > 0:
@@ -141,11 +76,5 @@ def l1_ball_threshold(v_abs, lam):
         raise ValueError(
             f"lambda must be smaller than the l1 norm ({lam} >= {total})"
         )
-    u = np.sort(v_abs)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    # On the segment where the j largest entries are active, t = (css_j - lam)/j.
-    t_cand = (css - lam) / k
-    active = u > t_cand
-    j = int(np.nonzero(active)[0][-1])
-    return float(t_cand[j])
+    t, _ = _l1_ball_thresholds(v_abs, np.array([0, v_abs.size]), lam)
+    return float(t[0])

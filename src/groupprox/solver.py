@@ -26,7 +26,6 @@ from .rootfind import RootConfig
 __all__ = [
     "Problem",
     "SolverConfig",
-    "SolverState",
     "SolverResult",
     "NumericalFailure",
     "model_value",
@@ -99,16 +98,6 @@ class SolverConfig:
 
 
 @dataclass
-class SolverState:
-    x_curr: GroupedVector
-    x_prev: GroupedVector
-    alpha_curr: float
-    alpha_prev: float
-    L: float
-    iter: int
-
-
-@dataclass
 class SolverResult:
     W: GroupedVector
     objective_history: np.ndarray
@@ -176,11 +165,11 @@ def solve(problem: Problem, cfg: SolverConfig = None, x0: GroupedVector = None,
                 s.with_values(s.values - g.values / L), problem.lam / L,
                 problem.q, root_cfg,
             )
-            f_y = problem.smooth(y) + problem.lam * mixed_norm(y, problem.q)
+            penalty = problem.lam * mixed_norm(y, problem.q)
+            f_y = problem.smooth(y) + penalty
             diff = y.values - s.values
             model = (
-                loss_s + float(g.values @ diff)
-                + problem.lam * mixed_norm(y, problem.q)
+                loss_s + float(g.values @ diff) + penalty
                 + 0.5 * L * float(diff @ diff)
             )
             if f_y <= model + 1e-12 * max(1.0, abs(model)):

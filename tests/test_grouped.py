@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from groupprox import (
     GroupedVector,
-    NormSpec,
     dual_exponent,
     group_norms,
     mixed_norm,
@@ -45,23 +44,6 @@ class TestDualExponent:
     @given(st.floats(1.001, 100.0))
     def test_involution(self, q):
         assert dual_exponent(dual_exponent(q)) == pytest.approx(q, rel=1e-9)
-
-
-class TestNormSpec:
-    def test_carries_dual(self):
-        spec = NormSpec(3.0)
-        assert spec.q_dual == pytest.approx(1.5)
-        assert not spec.is_inf
-
-    def test_inf_marker(self):
-        spec = NormSpec(math.inf)
-        assert spec.is_inf
-        assert spec.q_dual == 1.0
-
-    def test_frozen(self):
-        spec = NormSpec(2.0)
-        with pytest.raises(Exception):
-            spec.q = 3.0
 
 
 class TestQNorm:

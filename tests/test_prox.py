@@ -22,6 +22,7 @@ from groupprox import (
     prox_objective,
     q_norm,
 )
+from groupprox.prox import _BOUNDARY_RTOL
 
 GENERAL_QS = (1.25, 1.5, 1.75, 2.33, 3.0, 5.0)
 
@@ -81,6 +82,25 @@ class TestClosedForms:
 
     def test_linf_scalar(self):
         np.testing.assert_allclose(prox_linf(np.array([5.0]), 2.0), [3.0])
+
+
+PROJECTIONS = {
+    "l1": (1.0, prox_l1),
+    "l2": (2.0, prox_l2),
+    "linf": (math.inf, prox_linf),
+    "general_q1.5": (1.5, lambda v, lam: prox_lq_general(v, lam, 1.5)[0]),
+    "general_q3": (3.0, lambda v, lam: prox_lq_general(v, lam, 3.0)[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTIONS))
+def test_exact_zero_at_and_beyond_boundary(name):
+    q, project = PROJECTIONS[name]
+    v = np.array([3.0, -4.0, 1.0])
+    dual = q_norm(v, dual_exponent(q))
+    for lam in (dual, dual * (1.0 + 1e-9), 1.5 * dual, 1e3 * dual):
+        assert np.all(project(v, lam) == 0.0), lam
+    assert np.all(project(np.zeros(3), 0.7) == 0.0)
 
 
 class TestCInterval:
@@ -304,6 +324,14 @@ class TestProxGrouped:
         with pytest.raises(ValueError):
             prox_grouped(g, -1.0, 2.0)
 
+    def test_projection_error_names_callers_group(self):
+        # group 0 projects to zero, so the bisection sees group 1 first
+        g = GroupedVector(np.array([0.01, -0.01, 3.0, 1.0, 2.0]), [0, 2, 5])
+        with pytest.raises(ProjectionError) as err:
+            prox_grouped(g, 0.5, 3.0, RootConfig(max_iter=1))
+        assert err.value.group == 1
+        assert str(err.value).startswith("group 1:")
+
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
     @settings(max_examples=60, deadline=None)
     def test_non_expansive(self, seed, q):
@@ -317,6 +345,54 @@ class TestProxGrouped:
         p1 = prox_grouped(GroupedVector(v1, offsets), lam, q).values
         p2 = prox_grouped(GroupedVector(v2, offsets), lam, q).values
         assert np.linalg.norm(p1 - p2) <= np.linalg.norm(v1 - v2) + 1e-10
+
+
+def linf_loop(v, offsets, lam):
+    """Per-group sort-and-scan reference for the batched q = inf kernel."""
+    out = np.zeros_like(v)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        a = np.abs(v[lo:hi])
+        l1 = float(a.sum())
+        if l1 - lam <= _BOUNDARY_RTOL * l1:
+            continue
+        u = np.sort(a)[::-1]
+        t_cand = (np.cumsum(u) - lam) / np.arange(1, u.size + 1)
+        # no entry is active when lam is below the rounding of max|v|
+        active = np.nonzero(u > t_cand)[0]
+        t = t_cand[active[-1] if active.size else 0]
+        out[lo:hi] = np.sign(v[lo:hi]) * np.minimum(a, t)
+    return out
+
+
+@st.composite
+def linf_layouts(draw):
+    """Groups of mixed sizes and scales, with ties, zeros, all-zero groups,
+    and lam near one group's l1 norm, inside or just outside the snap."""
+    entries = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5]) | st.floats(-1.0, 1.0)
+    scales = st.just(0.0) | st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
+    groups = []
+    for _ in range(draw(st.integers(1, 6))):
+        size = draw(st.integers(1, 8))
+        base = draw(st.lists(entries, min_size=size, max_size=size))
+        groups.append(draw(scales) * np.array(base))
+    l1 = draw(st.sampled_from([float(np.abs(g).sum()) for g in groups]))
+    near = [1.0 - 0.5 * _BOUNDARY_RTOL, 1.0 - 2.0 * _BOUNDARY_RTOL, 1.0 - 1e-9]
+    rel = draw(st.sampled_from(near) | st.floats(0.01, 1.5))
+    lam = rel * l1 if l1 > 0.0 else draw(st.floats(1e-3, 1.0))
+    offsets = np.cumsum([0] + [g.size for g in groups])
+    return np.concatenate(groups), offsets, lam
+
+
+class TestProxLinfBatched:
+    @given(linf_layouts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_group_loop(self, layout):
+        v, offsets, lam = layout
+        batched = prox_grouped(GroupedVector(v, offsets), lam, math.inf).values
+        l1 = np.array([np.abs(v[lo:hi]).sum()
+                       for lo, hi in zip(offsets[:-1], offsets[1:])])
+        tol = 64.0 * np.finfo(float).eps * np.repeat(l1, np.diff(offsets))
+        assert np.all(np.abs(batched - linf_loop(v, offsets, lam)) <= tol)
 
 
 class TestOptimalityResidual:

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupprox import (
-    BadBracketError,
-    Bracket,
-    NoConvergenceError,
-    RootConfig,
-    bisect,
-    h_root,
-    l1_ball_threshold,
-)
-from groupprox.rootfind import h_value
+from groupprox import RootConfig, l1_ball_threshold
+from groupprox.prox import _inner_roots, _newton_polish
 
 
 class TestRootConfig:
@@ -30,107 +22,68 @@ class TestRootConfig:
             RootConfig(max_iter=0)
 
 
-class TestBisect:
-    def test_linear_root(self):
-        root = bisect(lambda x: x - 1.0, Bracket(0.0, 2.0, -1.0, 1.0))
-        assert root == pytest.approx(1.0, abs=1e-8)
-
-    def test_sqrt2(self):
-        root = bisect(lambda x: x * x - 2.0, Bracket(0.0, 2.0, -2.0, 2.0))
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-8)
-
-    def test_endpoint_root_exact(self):
-        assert bisect(lambda x: x, Bracket(-1.0, 0.0, -1.0, 0.0)) == 0.0
-
-    def test_reversed_bracket_rejected(self):
-        with pytest.raises(BadBracketError):
-            bisect(lambda x: x, Bracket(1.0, 0.0, 1.0, 0.0))
-
-    def test_same_sign_rejected(self):
-        with pytest.raises(BadBracketError):
-            bisect(lambda x: x + 5.0, Bracket(0.0, 1.0, 5.0, 6.0))
-
-    def test_max_iter_carries_bracket(self):
-        cfg = RootConfig(delta=1e-300, max_iter=5)
-        r = math.pi / 4.0
-        with pytest.raises(NoConvergenceError) as err:
-            bisect(lambda x: x - r, Bracket(0.0, 2.0, -r, 2.0 - r), cfg)
-        b = err.value.bracket
-        assert b.lo <= r <= b.hi
-
-    def test_width_halves_each_iteration(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return x - math.pi / 4.0
-
-        cfg = RootConfig(delta=1e-6, max_iter=100)
-        bisect(f, Bracket(0.0, 2.0, -1.0, 1.0), cfg)
-        # k evaluations imply a bracket of width 2 / 2**k around the root
-        width = 2.0 / 2.0 ** len(calls)
-        assert abs(calls[-1] - math.pi / 4.0) <= 2.0 * width
-
-    @given(st.floats(0.01, 0.99))
-    @settings(max_examples=50, deadline=None)
-    def test_random_linear_roots(self, r):
-        root = bisect(lambda x: x - r, Bracket(0.0, 1.0, -r, 1.0 - r))
-        assert root == pytest.approx(r, abs=1e-8)
+def h_residual(x, v, c, q):
+    """h(x) = x + c*x**(q-1) - v, the inner equation."""
+    return x + c * x ** (q - 1.0) - v
 
 
-class TestHRoot:
+def inner_root(v, c, q, lo=None, hi=None):
+    """Root in (0, v) of h, as the general-q kernel computes it: bisection
+    at the kernel's inner tolerance, then Newton polish."""
+    v_arr = np.array([v])
+    log_c = math.log(c)
+    bracket = [None if b is None else np.array([b]) for b in (lo, hi)]
+    x, _ = _inner_roots(v_arr, log_c, q, RootConfig().delta * 1e-4, *bracket)
+    return float(_newton_polish(x, v_arr, log_c, q)[0])
+
+
+class TestInnerRoots:
     def test_q2_linear(self):
         # x + x = 2
-        assert h_root(2.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-8)
+        assert inner_root(2.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_golden_section_root(self):
         # x**2 + x - 1 = 0, positive root (sqrt(5)-1)/2
         expected = (math.sqrt(5.0) - 1.0) / 2.0
-        assert h_root(1.0, 1.0, 3.0) == pytest.approx(expected, abs=1e-8)
+        assert inner_root(1.0, 1.0, 3.0) == pytest.approx(expected, abs=1e-12)
 
     def test_sqrt_branch(self):
         # x + 0.5*sqrt(x) = 3: u = sqrt(x) solves u**2 + 0.5u - 3 = 0,
         # u = 1.5, so x = 2.25 exactly
-        root = h_root(3.0, 0.5, 1.5)
-        assert root == pytest.approx(2.25, abs=1e-8)
-        assert h_value(2.25, 3.0, 0.5, 1.5) == pytest.approx(0.0, abs=1e-12)
+        root = inner_root(3.0, 0.5, 1.5)
+        assert root == pytest.approx(2.25, abs=1e-12)
+        assert h_residual(2.25, 3.0, 0.5, 1.5) == 0.0
 
     def test_root_inside_open_interval(self):
         for v, c, q in [(5.0, 2.0, 2.5), (0.3, 10.0, 1.2), (7.0, 0.01, 6.0)]:
-            x = h_root(v, c, q)
+            x = inner_root(v, c, q)
             assert 0.0 < x < v
 
     def test_decreasing_in_c(self):
-        roots = [h_root(2.0, c, 3.0) for c in (0.1, 1.0, 10.0, 100.0)]
+        roots = [inner_root(2.0, c, 3.0) for c in (0.1, 1.0, 10.0, 100.0)]
         assert all(b < a for a, b in zip(roots, roots[1:]))
 
     def test_hint_agrees_with_cold_start(self):
-        cold = h_root(2.0, 1.5, 2.5)
-        warm = h_root(2.0, 1.5, 2.5, hint=(cold - 1e-4, cold + 1e-4))
-        assert warm == pytest.approx(cold, abs=1e-7)
+        cold = inner_root(2.0, 1.5, 2.5)
+        warm = inner_root(2.0, 1.5, 2.5, lo=cold - 1e-4, hi=cold + 1e-4)
+        assert warm == pytest.approx(cold, abs=1e-12)
 
     def test_stale_hint_falls_back(self):
-        cold = h_root(2.0, 1.5, 2.5)
-        warm = h_root(2.0, 1.5, 2.5, hint=(1.9, 1.95))
-        assert warm == pytest.approx(cold, abs=1e-7)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            h_root(-1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            h_root(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            h_root(1.0, 1.0, math.inf)
+        # the warm-start bracket misses the root: it falls back to (0, v)
+        cold = inner_root(2.0, 1.5, 2.5)
+        assert not 1.9 <= cold <= 1.95
+        warm = inner_root(2.0, 1.5, 2.5, lo=1.9, hi=1.95)
+        assert warm == pytest.approx(cold, abs=1e-12)
 
     @given(st.floats(0.1, 10.0), st.floats(0.01, 50.0), st.floats(1.05, 8.0))
     @settings(max_examples=100, deadline=None)
     def test_root_bracketed_within_delta(self, v, c, q):
-        # the contract is |x - root| <= delta; h is increasing, so the
-        # true root must lie inside [x - 2*delta, x + 2*delta]
-        x = h_root(v, c, q)
+        # h is increasing, so the true root must lie inside
+        # [x - 2*delta, x + 2*delta]
+        x = inner_root(v, c, q)
         pad = 2e-8
-        assert h_value(max(x - pad, 0.0), v, c, q) <= 1e-12 * (1.0 + v + c)
-        assert h_value(min(x + pad, v), v, c, q) >= -1e-12 * (1.0 + v + c)
+        assert h_residual(max(x - pad, 0.0), v, c, q) <= 1e-12 * (1.0 + v + c)
+        assert h_residual(min(x + pad, v), v, c, q) >= -1e-12 * (1.0 + v + c)
 
 
 class TestL1BallThreshold:
