@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,14 @@ def _write_matrix(path, m):
     np.savetxt(path, np.asarray(m), delimiter=",", fmt="%.17g")
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """The file at path opened for writing, or stdout for None or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def _cmd_prox(args):
@@ -80,13 +85,9 @@ def _cmd_prox(args):
     gv = GroupedVector(v, offsets)
     cfg = RootConfig(delta=args.delta)
     out = prox_grouped(gv, args.lam, args.q, cfg)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         for x in out.values:
             fh.write(f"{float(x)!r}\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -131,12 +132,8 @@ def _cmd_path(args):
     solver_cfg = SolverConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
     rows = run_path_experiment(cfg, solver_cfg, RootConfig(delta=args.delta),
                                threshold_ratio=args.support_threshold)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         metrics_to_csv(rows, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -162,14 +159,10 @@ def _cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = bench_prox(sizes, args.q, args.ratio, args.seed, args.runs,
                       RootConfig(delta=args.delta))
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write("n,median_ns,outer_iters\n")
         for n, med, it in rows:
             fh.write(f"{n},{med!r},{it}\n")
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -178,14 +171,10 @@ def _cmd_demo_fixed_point(args):
     start = np.array([float(t) for t in args.start.split(",")]) if args.start else v.copy()
     trace = fixed_point_trace(v, args.lam, args.q, start, args.iters)
     x_star, diag = prox_lq_general(v, args.lam, args.q, RootConfig(delta=args.delta))
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         fh.write("iter," + ",".join(f"x{i}" for i in range(v.size)) + "\n")
         for t, x in enumerate(trace.iterates):
             fh.write(f"{t}," + ",".join(repr(float(c)) for c in x) + "\n")
-    finally:
-        if close:
-            fh.close()
     steps = [float(np.abs(b - a).max())
              for a, b in zip(trace.iterates, trace.iterates[1:])]
     converged = bool(steps and steps[-1] <= 1e-6)

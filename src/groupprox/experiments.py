@@ -13,7 +13,7 @@ import numpy as np
 
 from .grouped import dual_exponent, q_norm
 from .losses import Dataset, LossKind, row_group_offsets
-from .prox import prox_lq_general
+from .prox import ProjectionError, prox_lq_general
 from .rootfind import RootConfig
 from .solver import NumericalFailure, Problem, SolverConfig, lambda_max, solve
 
@@ -132,7 +132,7 @@ def run_path_experiment(cfg: ExperimentConfig, solver_cfg: SolverConfig = None,
         t0 = time.perf_counter()
         try:
             res = solve(problem, solver_cfg, x0=w, root_cfg=root_cfg)
-        except NumericalFailure as exc:
+        except (NumericalFailure, ProjectionError) as exc:
             rows.append(MetricsRow(float(r), lam, math.nan, math.nan,
                                    np.full(cfg.d, math.nan), math.nan, 0,
                                    (time.perf_counter() - t0) * 1e3, str(exc)))

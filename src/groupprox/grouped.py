@@ -37,6 +37,18 @@ def dual_exponent(q):
     return q / (q - 1.0)
 
 
+def _partition(offsets, size):
+    """offsets as an index array, checked to split size entries into nonempty groups."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    if offsets.ndim != 1 or len(offsets) < 2:
+        raise ValueError("offsets must contain at least two indices")
+    if offsets[0] != 0 or offsets[-1] != size:
+        raise ValueError(f"offsets must start at 0 and end at the length {size}")
+    if np.any(np.diff(offsets) <= 0):
+        raise ValueError("offsets must be strictly increasing (no empty groups)")
+    return offsets
+
+
 @dataclass
 class GroupedVector:
     """A flat coefficient array plus a contiguous group partition.
@@ -50,15 +62,9 @@ class GroupedVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self.offsets = np.asarray(self.offsets, dtype=np.intp)
         if self.values.ndim != 1:
             raise ValueError("values must be one-dimensional")
-        if self.offsets.ndim != 1 or len(self.offsets) < 2:
-            raise ValueError("offsets must contain at least two indices")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.values.size:
-            raise ValueError("offsets must start at 0 and end at len(values)")
-        if np.any(np.diff(self.offsets) <= 0):
-            raise ValueError("offsets must be strictly increasing (no empty groups)")
+        self.offsets = _partition(self.offsets, self.values.size)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
 

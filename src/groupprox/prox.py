@@ -95,7 +95,7 @@ def _one_group(v):
 def prox_l2(v, lam):
     """Closed form for q = 2: scale v by max(0, (||v||_2 - lam)/||v||_2)."""
     v = np.asarray(v, dtype=float)
-    return _prox_l2_groups(v, _one_group(v), lam)
+    return v.copy() if v.size == 0 else _prox_l2_groups(v, _one_group(v), lam)
 
 
 def prox_linf(v, lam):
@@ -103,7 +103,7 @@ def prox_linf(v, lam):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     v = np.asarray(v, dtype=float)
-    return _prox_linf_groups(v, _one_group(v), lam)
+    return v.copy() if v.size == 0 else _prox_linf_groups(v, _one_group(v), lam)
 
 
 def _prox_l2_groups(vals, offsets, lam):

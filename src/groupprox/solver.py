@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grouped import GroupedVector, dual_exponent, group_norms, mixed_norm
+from .grouped import GroupedVector, _partition, dual_exponent, group_norms, mixed_norm
 from .losses import Dataset, LossKind, loss_gradient, loss_value
 from .prox import prox_grouped
 from .rootfind import RootConfig
@@ -55,32 +55,41 @@ class Problem:
     q: float
 
     def __post_init__(self):
-        self.offsets = np.asarray(self.offsets, dtype=np.intp)
-        if self.offsets[-1] != self.data.n_features * self.data.n_tasks:
-            raise ValueError(
-                "offsets must partition the flattened d x k coefficient vector"
-            )
+        self.offsets = _partition(self.offsets, self.data.n_features * self.data.n_tasks)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
         if not self.q >= 1:
             raise ValueError("q must be at least 1")
 
+    def _view(self, x):
+        return x.reshape(self.data.n_features, self.data.n_tasks)
+
+    def _loss(self, x):
+        return loss_value(self._view(x), self.data, self.kind)
+
+    def _gradient(self, x):
+        return loss_gradient(self._view(x), self.data, self.kind).reshape(-1)
+
+    def _values(self, w: GroupedVector):
+        """w's coefficients, once w is known to have this problem's groups."""
+        if not np.array_equal(w.offsets, self.offsets):
+            raise ValueError("vector's group offsets differ from the problem's")
+        return w.values
+
     def matrix(self, w: GroupedVector):
-        return w.values.reshape(self.data.n_features, self.data.n_tasks)
+        return self._view(w.values)
 
     def smooth(self, w: GroupedVector):
-        return loss_value(self.matrix(w), self.data, self.kind)
+        return self._loss(w.values)
 
     def smooth_gradient(self, w: GroupedVector):
-        g = loss_gradient(self.matrix(w), self.data, self.kind)
-        return w.with_values(g.reshape(-1))
+        return w.with_values(self._gradient(w.values))
 
     def objective(self, w: GroupedVector):
         return self.smooth(w) + self.lam * mixed_norm(w, self.q)
 
     def zero(self):
-        n = self.data.n_features * self.data.n_tasks
-        return GroupedVector(np.zeros(n), self.offsets)
+        return GroupedVector(np.zeros(self.offsets[-1]), self.offsets)
 
 
 @dataclass
@@ -109,96 +118,92 @@ class SolverResult:
     cert_gaps: np.ndarray = field(default=None)
 
 
+def _step(s, g, L, problem: Problem, cfg):
+    """Gradient step from s (gradient g) then prox at level lam/L."""
+    return prox_grouped(GroupedVector(s - g / L, problem.offsets),
+                        problem.lam / L, problem.q, cfg)
+
+
+def _model(y, s, loss_s, g, penalty, L):
+    """Quadratic model at s, evaluated at y, from its parts at s and y."""
+    diff = y - s
+    return loss_s + float(g @ diff) + penalty + 0.5 * L * float(diff @ diff)
+
+
 def model_value(y: GroupedVector, x: GroupedVector, L, problem: Problem):
     """Quadratic upper model at x: Taylor term + penalty + (L/2)||y - x||**2."""
     if not L > 0:
         raise ValueError("L must be positive")
-    g = problem.smooth_gradient(x)
-    diff = y.values - x.values
-    return (
-        problem.smooth(x)
-        + float(g.values @ diff)
-        + problem.lam * mixed_norm(y, problem.q)
-        + 0.5 * L * float(diff @ diff)
-    )
+    xv = problem._values(x)
+    return _model(problem._values(y), xv, problem._loss(xv),
+                  problem._gradient(xv), problem.lam * mixed_norm(y, problem.q), L)
 
 
 def prox_step(s: GroupedVector, L, problem: Problem, cfg: RootConfig = None):
     """Minimizer of the model at s: prox of s - grad(s)/L at level lam/L."""
     if not L > 0:
         raise ValueError("L must be positive")
-    g = problem.smooth_gradient(s)
-    v = s.with_values(s.values - g.values / L)
-    return prox_grouped(v, problem.lam / L, problem.q, cfg)
+    sv = problem._values(s)
+    return _step(sv, problem._gradient(sv), L, problem, cfg)
 
 
 def solve(problem: Problem, cfg: SolverConfig = None, x0: GroupedVector = None,
           root_cfg: RootConfig = None) -> SolverResult:
     """Run the accelerated proximal-gradient iteration.
 
-    Stops at max_iter or when the relative objective change drops below
-    rel_tol; returns the best-objective iterate seen (the accelerated
-    sequence is not monotone).
+    Starts from x0 (which must have the problem's groups) or zero. Stops at
+    max_iter or when the relative objective change drops below rel_tol;
+    returns the best-objective iterate seen (the accelerated sequence is
+    not monotone). Raises NumericalFailure on a non-finite loss at a search
+    point, or when L overflows before the line search accepts a point.
     """
     if cfg is None:
         cfg = SolverConfig()
     if root_cfg is None:
         root_cfg = RootConfig()
-    x_prev = problem.zero() if x0 is None else x0.copy()
-    x = x_prev.copy()
+    x = x_prev = np.zeros(problem.offsets[-1]) if x0 is None else problem._values(x0)
     alpha_mm, alpha_m = 0.0, 1.0  # alpha_{i-2}, alpha_{i-1}
     L = cfg.L0
     obj_hist, L_hist, gaps = [], [], []
-    best_f = math.inf
-    best_x = x.copy()
+    best_f, best = math.inf, None
     prev_f = None
     converged = False
-    iterations = 0
 
     for i in range(1, cfg.max_iter + 1):
         beta = (alpha_mm - 1.0) / alpha_m
-        s = x.with_values(x.values + beta * (x.values - x_prev.values))
-        g = problem.smooth_gradient(s)
-        loss_s = problem.smooth(s)
+        s = x + beta * (x - x_prev)
+        g = problem._gradient(s)
+        loss_s = problem._loss(s)
+        if not math.isfinite(loss_s):
+            raise NumericalFailure("loss at the search point is not finite", i)
         while True:
-            y = prox_grouped(
-                s.with_values(s.values - g.values / L), problem.lam / L,
-                problem.q, root_cfg,
-            )
+            y = _step(s, g, L, problem, root_cfg)
             penalty = problem.lam * mixed_norm(y, problem.q)
-            f_y = problem.smooth(y) + penalty
-            diff = y.values - s.values
-            model = (
-                loss_s + float(g.values @ diff) + penalty
-                + 0.5 * L * float(diff @ diff)
-            )
-            if f_y <= model + 1e-12 * max(1.0, abs(model)):
+            f_y = problem._loss(y.values) + penalty
+            model = _model(y.values, s, loss_s, g, penalty, L)
+            if math.isfinite(f_y) and f_y <= model + 1e-12 * max(1.0, abs(model)):
                 break
             if not math.isfinite(L) or L > 1e300:
                 raise NumericalFailure("line search diverged", i)
             L *= cfg.growth
-        if not math.isfinite(f_y):
-            raise NumericalFailure("objective became non-finite", i)
 
-        x_prev, x = x, y
+        x_prev, x = x, y.values
         alpha_mm, alpha_m = alpha_m, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_m**2))
         obj_hist.append(f_y)
         L_hist.append(L)
         gaps.append(f_y - model)
-        iterations = i
         if f_y < best_f:
-            best_f = f_y
-            best_x = x.copy()
+            best_f, best = f_y, y
         if prev_f is not None and abs(f_y - prev_f) <= cfg.rel_tol * max(1.0, abs(prev_f)):
             converged = True
             break
         prev_f = f_y
 
     return SolverResult(
-        W=best_x,
+        W=best,
         objective_history=np.array(obj_hist),
         L_history=np.array(L_hist),
-        iterations=iterations,
+        iterations=len(obj_hist),
         converged=converged,
         cert_gaps=np.array(gaps),
     )

@@ -15,6 +15,7 @@ from groupprox.experiments import (
     support_f1,
     synth_generate,
 )
+from groupprox.rootfind import RootConfig
 from groupprox.solver import SolverConfig
 
 
@@ -138,6 +139,18 @@ class TestRunPathExperiment:
         assert float(first[0]) == 1.0
         norms = first[-1].split(";")
         assert len(norms) == cfg.d
+
+    def test_projection_error_recorded_on_row(self):
+        # one outer bisection step cannot finish a q = 3 projection
+        cfg = ExperimentConfig(m=20, d=10, d_sparse=3, k=4, q=3.0,
+                               ratios=[1.0, 0.5, 0.25])
+        rows = run_path_experiment(cfg, SolverConfig(max_iter=50),
+                                   RootConfig(max_iter=1))
+        assert [r.ratio for r in rows] == [1.0, 0.5, 0.25]
+        assert rows[0].error is None
+        for r in rows[1:]:
+            assert "max_iter=1" in r.error
+            assert math.isnan(r.objective) and r.iterations == 0
 
 
 class TestBenchProx:

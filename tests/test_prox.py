@@ -101,6 +101,7 @@ def test_exact_zero_at_and_beyond_boundary(name):
     for lam in (dual, dual * (1.0 + 1e-9), 1.5 * dual, 1e3 * dual):
         assert np.all(project(v, lam) == 0.0), lam
     assert np.all(project(np.zeros(3), 0.7) == 0.0)
+    assert project(np.zeros(0), 0.7).shape == (0,)
 
 
 class TestCInterval:

@@ -39,6 +39,11 @@ class TestProblem:
         with pytest.raises(ValueError):
             Problem(data, LossKind.LEAST_SQUARES, [0, 3], 0.1, 2.0)
 
+    def test_partition_validated_at_construction(self):
+        data = Dataset(np.ones((3, 10)), np.ones((3, 4)))
+        with pytest.raises(ValueError):
+            Problem(data, LossKind.LEAST_SQUARES, [0, 24, 8, 40], 0.1, 2.0)
+
     def test_objective_composes_loss_and_penalty(self):
         p = small_problem()
         w = p.zero().with_values(np.ones(12))
@@ -176,6 +181,32 @@ class TestSolve:
         ref = solve(p, SolverConfig(max_iter=3000, rel_tol=1e-15))
         stepped = prox_step(ref.W, float(ref.L_history[-1]), p)
         assert np.abs(stepped.values - ref.W.values).max() <= 1e-7
+
+    def test_x0_must_have_problem_groups(self):
+        p = small_problem()  # six groups of two
+        with pytest.raises(ValueError):
+            solve(p, SolverConfig(max_iter=5), x0=GroupedVector(np.zeros(12), [0, 12]))
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, math.inf])
+    def test_one_iteration_is_prox_step_and_model(self, q):
+        p = small_problem(q=q)
+        x0 = p.zero().with_values(np.linspace(-0.5, 0.5, 12))
+        res = solve(p, SolverConfig(max_iter=1), x0=x0)
+        L = float(res.L_history[0])
+        assert res.W.values.tobytes() == prox_step(x0, L, p).values.tobytes()
+        model = res.objective_history[0] - res.cert_gaps[0]
+        assert model == model_value(res.W, x0, L, p)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
+    def test_tiny_L0_backtracks_past_non_finite_trials(self, q):
+        # the first trial points overflow; the line search must reject them
+        p = small_problem(q=q)
+        cfg = dict(max_iter=2000, rel_tol=1e-12)
+        ref = solve(p, SolverConfig(**cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tiny = solve(p, SolverConfig(L0=1e-300, **cfg))
+        f_ref = p.objective(ref.W)
+        assert abs(p.objective(tiny.W) - f_ref) <= 1e-8 * max(1.0, abs(f_ref))
 
     def test_history_lengths_consistent(self):
         p = small_problem()
