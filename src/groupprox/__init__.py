@@ -47,7 +47,7 @@ from .prox import (
     prox_lq_general,
     prox_objective,
 )
-from .rootfind import RootConfig, l1_ball_threshold
+from .rootfind import l1_ball_threshold
 from .solver import (
     NumericalFailure,
     Problem,

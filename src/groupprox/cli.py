@@ -27,7 +27,6 @@ from .grouped import GroupedVector
 from .losses import Dataset, LossKind, row_group_offsets
 from .oracle import OracleFailure, fixed_point_trace
 from .prox import ProjectionError, optimality_residual, prox_grouped, prox_lq_general
-from .rootfind import RootConfig
 from .solver import NumericalFailure, Problem, SolverConfig, solve
 
 __all__ = ["main"]
@@ -82,9 +81,7 @@ def _cmd_prox(args):
         offsets = np.arange(0, v.size + 1, args.group_size, dtype=np.intp)
     else:
         offsets = np.array([0, v.size], dtype=np.intp)
-    gv = GroupedVector(v, offsets)
-    cfg = RootConfig(delta=args.delta)
-    out = prox_grouped(gv, args.lam, args.q, cfg)
+    out = prox_grouped(GroupedVector(v, offsets), args.lam, args.q)
     with _output(args.out) as fh:
         for x in out.values:
             fh.write(f"{float(x)!r}\n")
@@ -104,7 +101,7 @@ def _cmd_solve(args):
         offsets = row_group_offsets(data.n_features, data.n_tasks)
     problem = Problem(data, kind, np.asarray(offsets, dtype=np.intp), lam, q)
     cfg = SolverConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
-    res = solve(problem, cfg, root_cfg=RootConfig(delta=args.delta))
+    res = solve(problem, cfg)
     w = problem.matrix(res.W)
     if args.out and args.out != "-":
         _write_matrix(args.out, w)
@@ -130,7 +127,7 @@ def _experiment_config(args):
 def _cmd_path(args):
     cfg = _experiment_config(args)
     solver_cfg = SolverConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
-    rows = run_path_experiment(cfg, solver_cfg, RootConfig(delta=args.delta),
+    rows = run_path_experiment(cfg, solver_cfg,
                                threshold_ratio=args.support_threshold)
     with _output(args.out) as fh:
         metrics_to_csv(rows, fh)
@@ -157,12 +154,11 @@ def _cmd_synth(args):
 
 def _cmd_bench(args):
     sizes = [int(s) for s in args.sizes.split(",")]
-    rows = bench_prox(sizes, args.q, args.ratio, args.seed, args.runs,
-                      RootConfig(delta=args.delta))
+    rows = bench_prox(sizes, args.q, args.ratio, args.seed, args.runs)
     with _output(args.out) as fh:
-        fh.write("n,median_ns,outer_iters\n")
-        for n, med, it in rows:
-            fh.write(f"{n},{med!r},{it}\n")
+        fh.write("n,median_ns,outer_iters,inner_sweeps\n")
+        for n, med, outer, inner in rows:
+            fh.write(f"{n},{med!r},{outer},{inner}\n")
     return 0
 
 
@@ -170,7 +166,7 @@ def _cmd_demo_fixed_point(args):
     v = np.array([float(t) for t in args.v.split(",")])
     start = np.array([float(t) for t in args.start.split(",")]) if args.start else v.copy()
     trace = fixed_point_trace(v, args.lam, args.q, start, args.iters)
-    x_star, diag = prox_lq_general(v, args.lam, args.q, RootConfig(delta=args.delta))
+    x_star, diag = prox_lq_general(v, args.lam, args.q)
     with _output(args.out) as fh:
         fh.write("iter," + ",".join(f"x{i}" for i in range(v.size)) + "\n")
         for t, x in enumerate(trace.iterates):
@@ -219,7 +215,6 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--groups", help="JSON offsets array, e.g. [0,2,4]")
     p.add_argument("--group-size", type=int)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_prox)
 
@@ -230,7 +225,6 @@ def build_parser():
                    help="JSON with loss, q, lambda and optional offsets")
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
@@ -238,7 +232,6 @@ def build_parser():
     _add_synth_flags(p)
     p.add_argument("--max-iter", type=int, default=2000)
     p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--support-threshold", type=float, default=1e-3,
                    help="row-norm threshold as a fraction of the max row norm")
     p.add_argument("--out")
@@ -256,7 +249,6 @@ def build_parser():
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--runs", type=int, default=21)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 
@@ -267,7 +259,6 @@ def build_parser():
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.add_argument("--q", type=_parse_q, default=3.0)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--delta", type=float, default=1e-8)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_demo_fixed_point)
 

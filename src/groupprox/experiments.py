@@ -14,7 +14,6 @@ import numpy as np
 from .grouped import dual_exponent, q_norm
 from .losses import Dataset, LossKind, row_group_offsets
 from .prox import ProjectionError, prox_lq_general
-from .rootfind import RootConfig
 from .solver import NumericalFailure, Problem, SolverConfig, lambda_max, solve
 
 __all__ = [
@@ -110,7 +109,7 @@ def support_f1(row_norms, true_support, threshold):
 
 
 def run_path_experiment(cfg: ExperimentConfig, solver_cfg: SolverConfig = None,
-                        root_cfg: RootConfig = None, threshold_ratio=1e-3):
+                        threshold_ratio=1e-3):
     """Warm-started regularization path on synthetic data, with metrics.
 
     The support threshold is threshold_ratio times the largest row norm of
@@ -131,7 +130,7 @@ def run_path_experiment(cfg: ExperimentConfig, solver_cfg: SolverConfig = None,
         problem = Problem(data, LossKind.LEAST_SQUARES, offsets, lam, cfg.q)
         t0 = time.perf_counter()
         try:
-            res = solve(problem, solver_cfg, x0=w, root_cfg=root_cfg)
+            res = solve(problem, solver_cfg, x0=w)
         except (NumericalFailure, ProjectionError) as exc:
             rows.append(MetricsRow(float(r), lam, math.nan, math.nan,
                                    np.full(cfg.d, math.nan), math.nan, 0,
@@ -171,11 +170,11 @@ def balanced_error_rate(predictions, labels):
     return 0.5 * (err_pos + err_neg)
 
 
-def bench_prox(n_values, q, lambda_ratio=0.5, seed=0, runs=21,
-               cfg: RootConfig = None):
+def bench_prox(n_values, q, lambda_ratio=0.5, seed=0, runs=21):
     """Median projection times over random positive vectors of each size.
 
-    Returns a list of (n, median_ns, outer_iters) tuples.
+    Returns a list of (n, median_ns, outer_iters, inner_sweeps) tuples; the
+    counts are those of the last run at each size.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
@@ -186,15 +185,14 @@ def bench_prox(n_values, q, lambda_ratio=0.5, seed=0, runs=21,
         if n < 1:
             raise ValueError("sizes must be positive")
         times = []
-        iters = 0
         for _ in range(runs):
             v = np.abs(rng.standard_normal(n)) + 0.01
             lam = lambda_ratio * q_norm(v, dual_exponent(q))
             t0 = time.perf_counter_ns()
-            _, diag = prox_lq_general(v, lam, q, cfg)
+            _, diag = prox_lq_general(v, lam, q)
             times.append(time.perf_counter_ns() - t0)
-            iters = diag.outer_iters
-        out.append((n, float(np.median(times)), iters))
+        out.append((n, float(np.median(times)), diag.outer_iters,
+                    diag.inner_iters_total))
     return out
 
 

@@ -49,6 +49,13 @@ def _partition(offsets, size):
     return offsets
 
 
+def _finite(values):
+    """values, checked to hold no inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
+
+
 @dataclass
 class GroupedVector:
     """A flat coefficient array plus a contiguous group partition.
@@ -65,8 +72,7 @@ class GroupedVector:
         if self.values.ndim != 1:
             raise ValueError("values must be one-dimensional")
         self.offsets = _partition(self.offsets, self.values.size)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
+        _finite(self.values)
 
     @property
     def n_groups(self):

@@ -12,6 +12,17 @@ log(c) because the bracket endpoints can span hundreds of orders of
 magnitude for large q; inner brackets are warm-started from the roots at
 the current outer endpoints, which shrink as the outer interval does.
 
+Both tolerances follow from the data, so the projection commutes with
+scaling (v, lam) -> (s*v, s*lam) up to rounding. Each inner bisection stops
+at bracket width max(1e-12*v_i, tiny): a bracket inside [0, v_i] gets there
+in at most ceil(log2(1e12)) + 1 = 41 sweeps, and the floor at the smallest
+normal float lets subnormal v_i stop too. The outer bisection stops at
+width 1e-10 in u = log(c), which is already scale-free, since the scaling
+shifts u by (2-q)*log(s); the loop runs the ceil(log2(width/1e-10))
+halvings that the widest group's bracket needs. Neither loop has a cap,
+and every entry point rejects inf and nan, so the kernels only see finite
+magnitudes.
+
 Each form is one kernel batched over all groups of a flat vector, given as
 (values, offsets); the single-vector projections are its one-group case.
 """
@@ -22,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grouped import GroupedVector, dual_exponent, group_norms, q_norm
-from .rootfind import RootConfig, _l1_ball_thresholds
+from .grouped import GroupedVector, _finite, dual_exponent, group_norms, q_norm
+from .rootfind import _l1_ball_thresholds
 # kept importable from here: perfbench's tracer hooks it by this module's name
 from .rootfind import l1_ball_threshold  # noqa: F401
 
@@ -47,7 +58,13 @@ __all__ = [
 # the true solution is within tolerance of zero by continuity.
 _BOUNDARY_RTOL = 1e-12
 
-_EPS = np.finfo(float).eps
+# Inner bisection tolerance relative to each coordinate v_i, floored at the
+# smallest normal float so that brackets around subnormal v_i terminate.
+_INNER_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
+
+# Outer bisection tolerance in u = log(c).
+_OUTER_TOL = 1e-10
 
 
 class ProjectionError(RuntimeError):
@@ -94,7 +111,7 @@ def _one_group(v):
 
 def prox_l2(v, lam):
     """Closed form for q = 2: scale v by max(0, (||v||_2 - lam)/||v||_2)."""
-    v = np.asarray(v, dtype=float)
+    v = _finite(np.asarray(v, dtype=float))
     return v.copy() if v.size == 0 else _prox_l2_groups(v, _one_group(v), lam)
 
 
@@ -102,7 +119,7 @@ def prox_linf(v, lam):
     """Semi-closed form for q = inf: clip |v| at the l1-ball threshold t*."""
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    v = np.asarray(v, dtype=float)
+    v = _finite(np.asarray(v, dtype=float))
     return v.copy() if v.size == 0 else _prox_linf_groups(v, _one_group(v), lam)
 
 
@@ -139,7 +156,7 @@ def c_interval(v_abs, epsilon, q):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     if not 1.0 < q < math.inf:
         raise ValueError(f"c_interval needs 1 < q < inf, got {q}")
-    v_abs = np.asarray(v_abs, dtype=float)
+    v_abs = _finite(np.asarray(v_abs, dtype=float))
     if np.any(v_abs <= 0.0):
         raise ValueError("c_interval needs strictly positive entries")
     log_c = _log_c_candidates(v_abs, epsilon, q)
@@ -153,13 +170,14 @@ def _h_log(x, v, log_c, e):
     return x + np.exp(arg) - v
 
 
-def _inner_roots(v, log_c, q, tol, lo=None, hi=None, max_sweeps=300):
+def _inner_roots(v, log_c, q, lo=None, hi=None):
     """Vectorized bisection for the roots of x + c*x**(q-1) = v in (0, v).
 
     ``log_c`` may be a scalar or a per-coordinate array. ``lo``/``hi`` are
     optional warm-start brackets (roots at bracketing c values); they are
-    validated and fall back to (0, v) coordinatewise where stale.
-    Returns (roots, number_of_sweeps).
+    validated and fall back to (0, v) coordinatewise where stale. Every
+    bracket lies inside [0, v] and stops at width max(1e-12*v, tiny), so
+    there are at most 41 sweeps. Returns (roots, number_of_sweeps).
     """
     v = np.asarray(v, dtype=float)
     if q == 2.0:
@@ -167,7 +185,7 @@ def _inner_roots(v, log_c, q, tol, lo=None, hi=None, max_sweeps=300):
         with np.errstate(over="ignore"):
             return v * np.exp(-np.logaddexp(0.0, log_c)) * np.ones_like(v), 0
     e = q - 1.0
-    tol = np.maximum(tol, 8.0 * _EPS * v)
+    tol = np.maximum(_INNER_RTOL * v, _TINY)
     with np.errstate(over="ignore", invalid="ignore"):
         if lo is None:
             lo = np.zeros_like(v)
@@ -180,13 +198,13 @@ def _inner_roots(v, log_c, q, tol, lo=None, hi=None, max_sweeps=300):
             hi = np.minimum(hi + tol, v)
             hi = np.where(_h_log(hi, v, log_c, e) >= 0.0, hi, v)
         sweeps = 0
-        while np.any(hi - lo > tol) and sweeps < max_sweeps:
+        while np.any(hi - lo > tol):
             sweeps += 1
-            mid = 0.5 * (lo + hi)
+            mid = 0.5 * lo + 0.5 * hi  # lo + hi may overflow
             neg = _h_log(mid, v, log_c, e) < 0.0
             lo = np.where(neg, mid, lo)
             hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi), sweeps
+    return 0.5 * lo + 0.5 * hi, sweeps
 
 
 def _newton_polish(x, v, log_c, q, iters=3):
@@ -194,16 +212,19 @@ def _newton_polish(x, v, log_c, q, iters=3):
 
     h(x) = x + c*x**(q-1) - v has h'(x) = 1 + c*(q-1)*x**(q-2) >= 1 on
     (0, v), so Newton from a bisection root converges immediately and the
-    final accuracy is limited only by the evaluation error of h.
+    final accuracy is limited only by the evaluation error of h. The step
+    is formed from a = c*x**(q-2) or from 1/a, whichever is at most one, so
+    it stays finite where c*x**(q-1) overflows.
     """
     e = q - 1.0
     for _ in range(iters):
         pos = x > 0.0
-        lx = np.log(np.where(pos, x, 1.0))
-        with np.errstate(over="ignore"):
-            cx = np.where(pos, np.exp(log_c + e * lx), 0.0)
-            slope = 1.0 + np.where(pos, e * np.exp(log_c + (e - 1.0) * lx), 0.0)
-        step = (x + cx - v) / slope
+        log_a = np.where(pos, log_c + (e - 1.0) * np.log(np.where(pos, x, 1.0)),
+                         -np.inf)
+        r = np.exp(-np.abs(log_a))
+        # h/h' = (x - v + x*a)/(1 + e*a), divided through by a where a > 1
+        step = np.where(log_a > 0.0, ((x - v) * r + x) / (r + e),
+                        (x - v + x * r) / (1.0 + e * r))
         x = np.clip(x - step, 0.0, v)
     return x
 
@@ -217,7 +238,7 @@ def _log_psi_groups(x, starts, sizes, q):
     return ((1.0 - q) / q) * log_sum
 
 
-def phi(c, v_abs, lam, q, cfg: RootConfig = None):
+def phi(c, v_abs, lam, q):
     """phi(c) = lam*psi(c) - c, where psi aggregates the inner roots at c.
 
     At c = 0 the inner roots are the v_i themselves, so
@@ -225,15 +246,12 @@ def phi(c, v_abs, lam, q, cfg: RootConfig = None):
     """
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if cfg is None:
-        cfg = RootConfig()
-    v_abs = np.asarray(v_abs, dtype=float)
+    v_abs = _finite(np.asarray(v_abs, dtype=float))
     if np.any(v_abs <= 0.0):
         raise ValueError("phi needs strictly positive entries")
     if c == 0.0:
         return lam * math.exp((1.0 - q) * math.log(q_norm(v_abs, q)))
-    tol = cfg.delta * 1e-4
-    x, _ = _inner_roots(v_abs, math.log(c), q, tol)
+    x, _ = _inner_roots(v_abs, math.log(c), q)
     x = _newton_polish(x, v_abs, math.log(c), q)
     starts = np.array([0], dtype=np.intp)
     sizes = np.array([v_abs.size], dtype=np.intp)
@@ -241,7 +259,7 @@ def phi(c, v_abs, lam, q, cfg: RootConfig = None):
     return lam * math.exp(log_psi) - c
 
 
-def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, groups, cfg):
+def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, groups):
     """Outer/inner nested bisection on strictly positive grouped data.
 
     ``av`` holds the positive magnitudes of all active groups back to back,
@@ -251,17 +269,15 @@ def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, groups, cfg):
     Returns (x, u_star_per_group, outer_iters, inner_total).
     """
     log_lam = math.log(lam)
-    tol_x = cfg.delta * 1e-4
-    tol_u = cfg.delta * 1e-2
 
     log_c = _log_c_candidates(av, eps_g[gid], q)
     u1 = np.minimum.reduceat(log_c, starts)
     u2 = np.maximum.reduceat(log_c, starts)
 
     inner_total = 0
-    xa, sw = _inner_roots(av, u1[gid], q, tol_x)          # roots at c_low (largest)
+    xa, sw = _inner_roots(av, u1[gid], q)           # roots at c_low (largest)
     inner_total += sw
-    xb, sw = _inner_roots(av, u2[gid], q, tol_x, lo=None, hi=xa)  # roots at c_high
+    xb, sw = _inner_roots(av, u2[gid], q, hi=xa)    # roots at c_high
     inner_total += sw
 
     s1 = log_lam + _log_psi_groups(xa, starts, sizes, q) - u1
@@ -285,19 +301,16 @@ def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, groups, cfg):
     xa = np.where(at_hi[gid], xb, xa)
     xb = np.where(at_lo[gid], xa, xb)
 
-    outer = 0
-    while np.max(u2 - u1) > tol_u:
-        outer += 1
-        if outer > cfg.max_iter:
-            g = int(np.argmax(u2 - u1))
-            raise ProjectionError(
-                f"outer bisection exceeded max_iter={cfg.max_iter}",
-                epsilon=float(eps_g[g]), c_low=math.exp(u1[g]),
-                c_high=math.exp(u2[g]), group=int(groups[g]),
-            )
+    # every bracket halves together, so the widest one sets the count
+    width = float(np.max(u2 - u1))
+    outer = math.ceil(math.log2(width / _OUTER_TOL)) if width > _OUTER_TOL else 0
+    for _ in range(outer):
         um = 0.5 * (u1 + u2)
-        xm, sw = _inner_roots(av, um[gid], q, tol_x, lo=xb, hi=xa)
+        xm, sw = _inner_roots(av, um[gid], q, lo=xb, hi=xa)
         inner_total += sw
+        # phi can be nearly flat in u; a bisection root's error would then
+        # steer the outer bracket away from the root
+        xm = _newton_polish(xm, av, um[gid], q, iters=1)
         sm = log_lam + _log_psi_groups(xm, starts, sizes, q) - um
         go_right = sm > 0.0
         u1 = np.where(go_right, um, u1)
@@ -307,12 +320,12 @@ def _solve_positive_groups(av, starts, sizes, gid, lam, q, eps_g, groups, cfg):
         xb = np.where(right_c, xb, xm)
 
     u_star = 0.5 * (u1 + u2)
-    x, sw = _inner_roots(av, u_star[gid], q, tol_x, lo=xb, hi=xa)
+    x, sw = _inner_roots(av, u_star[gid], q, lo=xb, hi=xa)
     inner_total += sw
     return x, u_star, outer, inner_total
 
 
-def _prox_lq_groups(vals, offsets, lam, q, cfg):
+def _prox_lq_groups(vals, offsets, lam, q):
     """Batched general-q projection over all groups of a flat vector, lam > 0.
 
     Groups at or within rounding error of the dual-norm boundary project to
@@ -347,7 +360,7 @@ def _prox_lq_groups(vals, offsets, lam, q, cfg):
     gid = np.repeat(np.arange(sub_sizes.size), sub_sizes)
     groups = np.flatnonzero(nested)
     x, u_star, outer, inner = _solve_positive_groups(
-        av, sub_starts, sub_sizes, gid, lam, q, eps[nested], groups, cfg
+        av, sub_starts, sub_sizes, gid, lam, q, eps[nested], groups
     )
     out[sel] = np.sign(vals[sel]) * x
     with np.errstate(over="ignore"):
@@ -355,7 +368,7 @@ def _prox_lq_groups(vals, offsets, lam, q, cfg):
     return out, c_star, eps, outer, inner
 
 
-def prox_lq_general(v, lam, q, cfg: RootConfig = None):
+def prox_lq_general(v, lam, q):
     """General-q projection via the nested zero-finding scheme.
 
     Returns (x, ProxDiagnostics). Handles sign decomposition and zero
@@ -366,12 +379,10 @@ def prox_lq_general(v, lam, q, cfg: RootConfig = None):
         raise ValueError(f"prox_lq_general needs 1 < q < inf, got {q}")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if cfg is None:
-        cfg = RootConfig()
-    v = np.asarray(v, dtype=float)
+    v = _finite(np.asarray(v, dtype=float))
     if lam == 0.0 or v.size == 0:
         return v.copy(), ProxDiagnostics(None, 0.0, 0, 0, 0.0)
-    x, c_star, eps, outer, inner = _prox_lq_groups(v, _one_group(v), lam, q, cfg)
+    x, c_star, eps, outer, inner = _prox_lq_groups(v, _one_group(v), lam, q)
     if eps[0] == 0.0:
         return x, ProxDiagnostics(None, 0.0, 0, 0, 0.0)
     c = None if np.isnan(c_star[0]) else float(c_star[0])
@@ -379,7 +390,7 @@ def prox_lq_general(v, lam, q, cfg: RootConfig = None):
                               optimality_residual(x, v, lam, q))
 
 
-def prox_grouped(v: GroupedVector, lam, q, cfg: RootConfig = None) -> GroupedVector:
+def prox_grouped(v: GroupedVector, lam, q) -> GroupedVector:
     """Apply the lq projection to every group with one batched kernel per q.
 
     q = 1 is the flat soft threshold, q = 2 and q = inf the batched closed
@@ -387,8 +398,6 @@ def prox_grouped(v: GroupedVector, lam, q, cfg: RootConfig = None) -> GroupedVec
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if cfg is None:
-        cfg = RootConfig()
     if lam == 0.0:
         return v.copy()
     vals, offsets = v.values, v.offsets
@@ -399,7 +408,7 @@ def prox_grouped(v: GroupedVector, lam, q, cfg: RootConfig = None) -> GroupedVec
     elif math.isinf(q):
         out = _prox_linf_groups(vals, offsets, lam)
     elif q > 1.0:
-        out = _prox_lq_groups(vals, offsets, lam, q, cfg)[0]
+        out = _prox_lq_groups(vals, offsets, lam, q)[0]
     else:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
     return v.with_values(out)

@@ -1,29 +1,15 @@
-"""Zero-finding settings and the exact l1-ball threshold.
+"""The exact l1-ball threshold.
 
 The threshold is computed for every group of a flat vector at once; the
-single-vector ``l1_ball_threshold`` is its one-group case.
+single-vector ``l1_ball_threshold`` is its one-group case. It is exact: a
+sort and a scan, with no tolerance and no sweep count. The general-q
+bisections, whose tolerances follow from the data and bound their sweeps,
+live in ``prox``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "RootConfig",
-    "l1_ball_threshold",
-]
-
-
-@dataclass
-class RootConfig:
-    delta: float = 1e-8
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+__all__ = ["l1_ball_threshold"]
 
 
 def _l1_ball_thresholds(a, offsets, lam):

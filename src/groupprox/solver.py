@@ -21,7 +21,6 @@ import numpy as np
 from .grouped import GroupedVector, _partition, dual_exponent, group_norms, mixed_norm
 from .losses import Dataset, LossKind, loss_gradient, loss_value
 from .prox import prox_grouped
-from .rootfind import RootConfig
 
 __all__ = [
     "Problem",
@@ -118,10 +117,17 @@ class SolverResult:
     cert_gaps: np.ndarray = field(default=None)
 
 
-def _step(s, g, L, problem: Problem, cfg):
-    """Gradient step from s (gradient g) then prox at level lam/L."""
-    return prox_grouped(GroupedVector(s - g / L, problem.offsets),
-                        problem.lam / L, problem.q, cfg)
+def _step(s, g, L, problem: Problem):
+    """Gradient step from s (gradient g) then prox at level lam/L.
+
+    Returns None when the gradient step is not finite (L is too small for
+    the gradient), for the line search to reject.
+    """
+    try:
+        z = GroupedVector(s - g / L, problem.offsets)
+    except ValueError:  # the offsets are the problem's, so the values are not finite
+        return None
+    return prox_grouped(z, problem.lam / L, problem.q)
 
 
 def _model(y, s, loss_s, g, penalty, L):
@@ -139,28 +145,30 @@ def model_value(y: GroupedVector, x: GroupedVector, L, problem: Problem):
                   problem._gradient(xv), problem.lam * mixed_norm(y, problem.q), L)
 
 
-def prox_step(s: GroupedVector, L, problem: Problem, cfg: RootConfig = None):
+def prox_step(s: GroupedVector, L, problem: Problem):
     """Minimizer of the model at s: prox of s - grad(s)/L at level lam/L."""
     if not L > 0:
         raise ValueError("L must be positive")
     sv = problem._values(s)
-    return _step(sv, problem._gradient(sv), L, problem, cfg)
+    y = _step(sv, problem._gradient(sv), L, problem)
+    if y is None:
+        raise ValueError("the gradient step s - grad(s)/L is not finite")
+    return y
 
 
-def solve(problem: Problem, cfg: SolverConfig = None, x0: GroupedVector = None,
-          root_cfg: RootConfig = None) -> SolverResult:
+def solve(problem: Problem, cfg: SolverConfig = None,
+          x0: GroupedVector = None) -> SolverResult:
     """Run the accelerated proximal-gradient iteration.
 
     Starts from x0 (which must have the problem's groups) or zero. Stops at
     max_iter or when the relative objective change drops below rel_tol;
     returns the best-objective iterate seen (the accelerated sequence is
-    not monotone). Raises NumericalFailure on a non-finite loss at a search
-    point, or when L overflows before the line search accepts a point.
+    not monotone). A trial with a non-finite gradient step or objective is
+    rejected (L grows). Raises NumericalFailure on a non-finite loss at a
+    search point, or when L overflows before the line search accepts a point.
     """
     if cfg is None:
         cfg = SolverConfig()
-    if root_cfg is None:
-        root_cfg = RootConfig()
     x = x_prev = np.zeros(problem.offsets[-1]) if x0 is None else problem._values(x0)
     alpha_mm, alpha_m = 0.0, 1.0  # alpha_{i-2}, alpha_{i-1}
     L = cfg.L0
@@ -177,12 +185,13 @@ def solve(problem: Problem, cfg: SolverConfig = None, x0: GroupedVector = None,
         if not math.isfinite(loss_s):
             raise NumericalFailure("loss at the search point is not finite", i)
         while True:
-            y = _step(s, g, L, problem, root_cfg)
-            penalty = problem.lam * mixed_norm(y, problem.q)
-            f_y = problem._loss(y.values) + penalty
-            model = _model(y.values, s, loss_s, g, penalty, L)
-            if math.isfinite(f_y) and f_y <= model + 1e-12 * max(1.0, abs(model)):
-                break
+            y = _step(s, g, L, problem)
+            if y is not None:
+                penalty = problem.lam * mixed_norm(y, problem.q)
+                f_y = problem._loss(y.values) + penalty
+                model = _model(y.values, s, loss_s, g, penalty, L)
+                if math.isfinite(f_y) and f_y <= model + 1e-12 * max(1.0, abs(model)):
+                    break
             if not math.isfinite(L) or L > 1e300:
                 raise NumericalFailure("line search diverged", i)
             L *= cfg.growth
@@ -223,7 +232,7 @@ def lambda_max(data: Dataset, kind: LossKind, offsets, q):
 
 
 def reg_path(data: Dataset, kind: LossKind, offsets, q, ratios,
-             cfg: SolverConfig = None, root_cfg: RootConfig = None):
+             cfg: SolverConfig = None):
     """Warm-started solves at lambda = ratio * lambda_max, decreasing ratios."""
     ratios = np.asarray(ratios, dtype=float)
     if np.any(ratios <= 0) or np.any(ratios > 1) or np.any(np.diff(ratios) >= 0):
@@ -234,7 +243,7 @@ def reg_path(data: Dataset, kind: LossKind, offsets, q, ratios,
     for j, r in enumerate(ratios):
         problem = Problem(data, kind, offsets, r * lam_max, q)
         try:
-            res = solve(problem, cfg, x0=w, root_cfg=root_cfg)
+            res = solve(problem, cfg, x0=w)
         except NumericalFailure as exc:
             raise NumericalFailure(f"path point {j}: {exc}", exc.iteration) from exc
         results.append(res)

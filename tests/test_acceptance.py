@@ -352,8 +352,8 @@ def test_criterion_11_limit_consistency():
 
 def test_criterion_12_linear_scaling():
     rows = bench_prox([1_000, 10_000, 100_000], 3.0, 0.5, seed=1, runs=21)
-    times = [med for _, med, _ in rows]
-    sizes = [n for n, _, _ in rows]
+    times = [row[1] for row in rows]
+    sizes = [row[0] for row in rows]
     ratios = []
     ok = True
     for (n0, t0), (n1, t1) in zip(zip(sizes, times), zip(sizes[1:], times[1:])):

@@ -138,8 +138,11 @@ class TestBenchCommand:
                      "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().split("\n")
-        assert lines[0] == "n,median_ns,outer_iters"
+        assert lines[0] == "n,median_ns,outer_iters,inner_sweeps"
         assert len(lines) == 3
+        for line in lines[1:]:
+            outer, inner = (int(f) for f in line.split(",")[2:])
+            assert outer > 0 and inner > 0
 
 
 class TestDemoFixedPoint:

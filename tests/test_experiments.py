@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import groupprox.prox as prox_module
 from groupprox.experiments import (
     METRICS_HEADER,
     ExperimentConfig,
@@ -15,7 +16,6 @@ from groupprox.experiments import (
     support_f1,
     synth_generate,
 )
-from groupprox.rootfind import RootConfig
 from groupprox.solver import SolverConfig
 
 
@@ -140,16 +140,19 @@ class TestRunPathExperiment:
         norms = first[-1].split(";")
         assert len(norms) == cfg.d
 
-    def test_projection_error_recorded_on_row(self):
-        # one outer bisection step cannot finish a q = 3 projection
+    def test_projection_error_recorded_on_row(self, monkeypatch):
+        # a c bracket shifted far above the root fails the endpoint-sign
+        # check in every q = 3 projection with a nonzero group
+        real = prox_module._log_c_candidates
+        monkeypatch.setattr(prox_module, "_log_c_candidates",
+                            lambda v, eps, q: real(v, eps, q) + 50.0)
         cfg = ExperimentConfig(m=20, d=10, d_sparse=3, k=4, q=3.0,
                                ratios=[1.0, 0.5, 0.25])
-        rows = run_path_experiment(cfg, SolverConfig(max_iter=50),
-                                   RootConfig(max_iter=1))
+        rows = run_path_experiment(cfg, SolverConfig(max_iter=50))
         assert [r.ratio for r in rows] == [1.0, 0.5, 0.25]
         assert rows[0].error is None
         for r in rows[1:]:
-            assert "max_iter=1" in r.error
+            assert "phi endpoint signs inconsistent" in r.error
             assert math.isnan(r.objective) and r.iterations == 0
 
 
@@ -157,9 +160,10 @@ class TestBenchProx:
     def test_returns_one_row_per_size(self):
         rows = bench_prox([50, 100], 3.0, runs=3, seed=1)
         assert [r[0] for r in rows] == [50, 100]
-        for _, med, iters in rows:
+        for _, med, outer, inner in rows:
             assert med > 0.0
-            assert iters > 0
+            assert outer > 0
+            assert inner > 0
 
     def test_single_coordinate_fast(self):
         rows = bench_prox([1], 3.0, runs=3, seed=1)

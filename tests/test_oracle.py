@@ -58,7 +58,7 @@ class TestFixedPointTrace:
 
     def test_constant_at_exact_solution(self):
         v = np.array([1.0, 3.0])
-        x_star, _ = prox_lq_general(v, 0.5, 3.0, None)
+        x_star, _ = prox_lq_general(v, 0.5, 3.0)
         trace = fixed_point_trace(v, 0.5, 3.0, x_star, 20)
         for x in trace.iterates:
             assert np.abs(x - x_star).max() <= 1e-7

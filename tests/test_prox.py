@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from groupprox import (
     GroupedVector,
     ProjectionError,
-    RootConfig,
     c_interval,
     dual_exponent,
     is_zero_solution,
@@ -22,6 +21,7 @@ from groupprox import (
     prox_objective,
     q_norm,
 )
+import groupprox.prox as prox_module
 from groupprox.prox import _BOUNDARY_RTOL
 
 GENERAL_QS = (1.25, 1.5, 1.75, 2.33, 3.0, 5.0)
@@ -102,6 +102,14 @@ def test_exact_zero_at_and_beyond_boundary(name):
         assert np.all(project(v, lam) == 0.0), lam
     assert np.all(project(np.zeros(3), 0.7) == 0.0)
     assert project(np.zeros(0), 0.7).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["l2", "linf", "general_q1.5", "general_q3"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_input_rejected(name, bad):
+    _, project = PROJECTIONS[name]
+    with pytest.raises(ValueError, match="finite"):
+        project(np.array([1.0, bad]), 0.5)
 
 
 class TestCInterval:
@@ -240,6 +248,34 @@ class TestProxLqGeneral:
                 if np.any(x != 0.0):
                     assert diag.residual <= 1e-6
 
+    @given(st.integers(0, 10_000), st.sampled_from([1.5, 3.0, 5.0]),
+           st.floats(-8.0, 8.0))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_equivariance(self, seed, q, log_s):
+        # projecting (s*v, s*lam) gives s times the projection of (v, lam)
+        v, lam = random_instance(np.random.default_rng(seed), q)
+        s = 10.0 ** log_s
+        x, _ = prox_lq_general(v, lam, q)
+        xs, _ = prox_lq_general(s * v, s * lam, q)
+        assert np.abs(xs / s - x).max() <= 1e-10 * np.abs(x).max()
+
+    @pytest.mark.parametrize("v, q", [
+        ([1.0, 5e-324], 3.0),
+        ([1.0, 5e-324], 1.5),
+        ([1e-310, 2.0, -3.0], 5.0),
+        ([1e-300, 1e-100, 1.0, 1e100], 3.0),
+        ([1.7e308, 1e-300, 5e-324], 3.0),  # bracket sums would overflow
+        (np.linspace(0.001, 1.0, 1000), 1.25),
+    ])
+    def test_inner_sweeps_bounded_without_cap(self, v, q):
+        # each inner bisection ends within 41 sweeps, and there is one per
+        # outer iteration plus three (both endpoints and the final roots)
+        v = np.asarray(v)
+        lam = 0.5 * q_norm(v, dual_exponent(q))
+        x, diag = prox_lq_general(v, lam, q)
+        assert np.all(np.isfinite(x)) and np.any(x != 0.0)
+        assert diag.inner_iters_total <= 41 * (diag.outer_iters + 3)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             prox_lq_general(np.array([1.0]), 0.5, 1.0)
@@ -325,13 +361,38 @@ class TestProxGrouped:
         with pytest.raises(ValueError):
             prox_grouped(g, -1.0, 2.0)
 
-    def test_projection_error_names_callers_group(self):
-        # group 0 projects to zero, so the bisection sees group 1 first
+    def test_projection_error_names_callers_group(self, monkeypatch):
+        # group 0 projects to zero, so the bisection sees group 1 first; a
+        # c bracket shifted far above the root fails the endpoint-sign check
+        real = prox_module._log_c_candidates
+        monkeypatch.setattr(prox_module, "_log_c_candidates",
+                            lambda v, eps, q: real(v, eps, q) + 50.0)
         g = GroupedVector(np.array([0.01, -0.01, 3.0, 1.0, 2.0]), [0, 2, 5])
         with pytest.raises(ProjectionError) as err:
-            prox_grouped(g, 0.5, 3.0, RootConfig(max_iter=1))
+            prox_grouped(g, 0.5, 3.0)
         assert err.value.group == 1
-        assert str(err.value).startswith("group 1:")
+        assert str(err.value).startswith("group 1: phi endpoint signs")
+
+    @given(st.integers(0, 10_000), st.sampled_from([1.5, 2.0, 3.0, math.inf]))
+    @settings(max_examples=100, deadline=None)
+    def test_sign_flips_and_permutations_within_groups(self, seed, q):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        offsets = np.unique(np.concatenate(([0, n], rng.integers(1, n, size=2))))
+        v = rng.standard_normal(n)
+        lam = rng.uniform(0.05, 1.5)
+        out = prox_grouped(GroupedVector(v, offsets), lam, q).values
+        # the projection commutes with sign flips, coordinate by coordinate
+        # (flipping all of v is one of them)
+        signs = rng.choice([-1.0, 1.0], size=n)
+        flipped = prox_grouped(GroupedVector(signs * v, offsets), lam, q).values
+        np.testing.assert_array_equal(flipped, signs * out)
+        # and with permutations inside each group, up to summation order
+        perm = np.concatenate([lo + rng.permutation(hi - lo)
+                               for lo, hi in zip(offsets[:-1], offsets[1:])])
+        permuted = prox_grouped(GroupedVector(v[perm], offsets), lam, q).values
+        np.testing.assert_allclose(permuted, out[perm], rtol=0.0,
+                                   atol=1e-9 * np.abs(v).max())
 
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
     @settings(max_examples=60, deadline=None)

@@ -5,21 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupprox import RootConfig, l1_ball_threshold
+from groupprox import l1_ball_threshold
 from groupprox.prox import _inner_roots, _newton_polish
-
-
-class TestRootConfig:
-    def test_defaults(self):
-        cfg = RootConfig()
-        assert cfg.delta == 1e-8
-        assert cfg.max_iter == 200
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            RootConfig(delta=0.0)
-        with pytest.raises(ValueError):
-            RootConfig(max_iter=0)
 
 
 def h_residual(x, v, c, q):
@@ -33,7 +20,7 @@ def inner_root(v, c, q, lo=None, hi=None):
     v_arr = np.array([v])
     log_c = math.log(c)
     bracket = [None if b is None else np.array([b]) for b in (lo, hi)]
-    x, _ = _inner_roots(v_arr, log_c, q, RootConfig().delta * 1e-4, *bracket)
+    x, _ = _inner_roots(v_arr, log_c, q, *bracket)
     return float(_newton_polish(x, v_arr, log_c, q)[0])
 
 

@@ -20,13 +20,13 @@ from groupprox import (
 
 
 def small_problem(seed=0, m=12, d=6, k=2, lam_ratio=0.3, q=2.0,
-                  kind=LossKind.LEAST_SQUARES):
+                  kind=LossKind.LEAST_SQUARES, scale=1.0):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, d))
+    a = scale * rng.standard_normal((m, d))
     if kind is LossKind.LOGISTIC:
         y = np.sign(rng.standard_normal((m, k)))
     else:
-        y = rng.standard_normal((m, k))
+        y = scale * rng.standard_normal((m, k))
     data = Dataset(a, y)
     offsets = row_group_offsets(d, k)
     lam = lam_ratio * lambda_max(data, kind, offsets, q)
@@ -197,10 +197,13 @@ class TestSolve:
         model = res.objective_history[0] - res.cert_gaps[0]
         assert model == model_value(res.W, x0, L, p)
 
-    @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
-    def test_tiny_L0_backtracks_past_non_finite_trials(self, q):
-        # the first trial points overflow; the line search must reject them
-        p = small_problem(q=q)
+    @pytest.mark.parametrize("q, scale", [(2.0, 1.0), (3.0, 1.0), (math.inf, 1.0),
+                                          (2.0, 1e5)],
+                             ids=["2.0", "3.0", "inf", "2.0-scaled-1e5"])
+    def test_tiny_L0_backtracks_past_non_finite_trials(self, q, scale):
+        # the first trial points overflow (at scale 1e5 already the gradient
+        # step does); the line search must reject them
+        p = small_problem(q=q, scale=scale)
         cfg = dict(max_iter=2000, rel_tol=1e-12)
         ref = solve(p, SolverConfig(**cfg))
         with np.errstate(over="ignore", invalid="ignore"):
