@@ -2,8 +2,9 @@
 
 The projection of v minimizes 0.5*||x - v||^2 + lam*||x||_q. This script
 walks through the closed forms (q = 1, 2, inf), the zero-solution boundary
-at lam = ||v||_qbar, the nested zero-finding used for general q, and the
-group-wise dispatcher that applies all of this per group.
+at lam = ||v||_qbar, the nested zero-finding used for general q (regula
+falsi steps on log c outside, Newton's method for the coordinates inside),
+and the group-wise dispatcher that applies all of this per group.
 
 Run:  python3 demos/projection_tour.py
 """
@@ -51,8 +52,9 @@ def main():
         res = optimality_residual(x, v, lam, q)
         print(f"  q={q}: x = {np.round(x, 6)}")
         print(
-            f"    c* = {diag.c_star:.6f}, outer iters = {diag.outer_iters}, "
-            f"inner iters = {diag.inner_iters_total}, residual = {res:.2e}"
+            f"    c* = {diag.c_star:.6f}, outer steps = {diag.outer_iters}, "
+            f"inner Newton passes = {diag.inner_iters_total}, "
+            f"residual = {res:.2e}"
         )
     print()
 

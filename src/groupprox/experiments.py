@@ -173,8 +173,9 @@ def balanced_error_rate(predictions, labels):
 def bench_prox(n_values, q, lambda_ratio=0.5, seed=0, runs=21):
     """Median projection times over random positive vectors of each size.
 
-    Returns a list of (n, median_ns, outer_iters, inner_sweeps) tuples; the
-    counts are those of the last run at each size.
+    Returns a list of (n, median_ns, outer_iters, inner_sweeps) tuples,
+    inner_sweeps counting the inner Newton passes; the counts are those of
+    the last run at each size.
     """
     if runs < 1:
         raise ValueError("runs must be positive")

@@ -2,7 +2,7 @@
 
 ``brute_prox`` minimizes the projected objective by plain backtracked
 gradient descent restricted to the orthant of sgn(v), where the objective
-is smooth; it shares no code with the bisection machinery and certifies
+is smooth; it shares no code with the nested root finding and certifies
 its answer with a Fenchel duality gap rather than trusting the iteration.
 ``fixed_point_trace`` reproduces the naive fixed-point iteration whose
 failure motivates the zero-finding approach.

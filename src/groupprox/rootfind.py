@@ -2,9 +2,11 @@
 
 The threshold is computed for every group of a flat vector at once; the
 single-vector ``l1_ball_threshold`` is its one-group case. It is exact: a
-sort and a scan, with no tolerance and no sweep count. The general-q
-bisections, whose tolerances follow from the data and bound their sweeps,
-live in ``prox``.
+sort and a scan, with no tolerance and no sweep count. The general-q root
+finding lives in ``prox``: Newton inner roots, which stop where their steps
+stop shrinking (at most 14 passes per solve over varied inputs), under a
+safeguarded regula falsi outer step whose only tolerance is the 1e-10
+width of its bracket in log(c).
 """
 
 import numpy as np

@@ -145,7 +145,7 @@ class TestRunPathExperiment:
         # check in every q = 3 projection with a nonzero group
         real = prox_module._log_c_candidates
         monkeypatch.setattr(prox_module, "_log_c_candidates",
-                            lambda v, eps, q: real(v, eps, q) + 50.0)
+                            lambda *args: real(*args) + 50.0)
         cfg = ExperimentConfig(m=20, d=10, d_sparse=3, k=4, q=3.0,
                                ratios=[1.0, 0.5, 0.25])
         rows = run_path_experiment(cfg, SolverConfig(max_iter=50))

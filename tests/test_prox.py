@@ -38,6 +38,34 @@ def random_instance(rng, q, n_max=10, lam_lo=0.05, lam_hi=0.95):
     return v, lam
 
 
+SPLIT_KINDS = ("equal", "normal", "wide", "large")
+
+
+def split_group(rng, kind, n):
+    """A group of n entries whose outer bracket, at a lam near 1, closes at
+    once (equal magnitudes), after two or three steps (large entries, so
+    that lam is tiny beside them) or after several (Gaussian, or Gaussian
+    spread over six decades)."""
+    g = rng.standard_normal(n)
+    if kind == "equal":
+        return np.sign(g) * rng.uniform(0.5, 3.0)
+    if kind == "wide":
+        return g * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return 1e8 * g if kind == "large" else g
+
+
+@st.composite
+def split_layouts(draw):
+    """2 to 5 groups of mixed kinds, and a lam that leaves some of them
+    nonzero: a fraction of one group's dual norm, for q = 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(SPLIT_KINDS), min_size=2, max_size=5))
+    groups = [split_group(rng, kind, int(rng.integers(2, 9))) for kind in kinds]
+    dual = q_norm(groups[draw(st.integers(0, len(groups) - 1))],
+                  dual_exponent(3.0))
+    return groups, draw(st.floats(0.05, 0.95)) * dual
+
+
 class TestIsZeroSolution:
     def test_boundary_is_zero(self):
         assert is_zero_solution(np.array([3.0, 4.0]), 5.0, 2.0)
@@ -264,17 +292,28 @@ class TestProxLqGeneral:
         ([1.0, 5e-324], 1.5),
         ([1e-310, 2.0, -3.0], 5.0),
         ([1e-300, 1e-100, 1.0, 1e100], 3.0),
-        ([1.7e308, 1e-300, 5e-324], 3.0),  # bracket sums would overflow
+        ([1.7e308, 1e-300, 5e-324], 3.0),
         (np.linspace(0.001, 1.0, 1000), 1.25),
+        (np.linspace(0.001, 1.0, 1000), 1.0 + 1e-6),
+        (np.linspace(0.001, 1.0, 1000), 64.0),
     ])
     def test_inner_sweeps_bounded_without_cap(self, v, q):
-        # each inner bisection ends within 41 sweeps, and there is one per
-        # outer iteration plus three (both endpoints and the final roots)
+        # one inner Newton solve per outer step plus the two endpoint
+        # solves, each ending within 16 passes, plus one polishing pass for
+        # q < 2 (the worst solve over 660 varied inputs took 14)
         v = np.asarray(v)
         lam = 0.5 * q_norm(v, dual_exponent(q))
         x, diag = prox_lq_general(v, lam, q)
         assert np.all(np.isfinite(x)) and np.any(x != 0.0)
-        assert diag.inner_iters_total <= 41 * (diag.outer_iters + 3)
+        assert diag.inner_iters_total <= 16 * (diag.outer_iters + 2) + 1
+
+    def test_underflowed_root_stays_zero(self):
+        # for q = 1.5 the root at v = 5e-324 is about v**2, which underflows
+        # to 0; the final Newton polish must not move it to v
+        v = np.array([1.0, 5e-324])
+        x, diag = prox_lq_general(v, 0.5 * q_norm(v, dual_exponent(1.5)), 1.5)
+        assert x[1] == 0.0
+        assert x[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -362,11 +401,11 @@ class TestProxGrouped:
             prox_grouped(g, -1.0, 2.0)
 
     def test_projection_error_names_callers_group(self, monkeypatch):
-        # group 0 projects to zero, so the bisection sees group 1 first; a
+        # group 0 projects to zero, so the outer solve sees group 1 first; a
         # c bracket shifted far above the root fails the endpoint-sign check
         real = prox_module._log_c_candidates
         monkeypatch.setattr(prox_module, "_log_c_candidates",
-                            lambda v, eps, q: real(v, eps, q) + 50.0)
+                            lambda *args: real(*args) + 50.0)
         g = GroupedVector(np.array([0.01, -0.01, 3.0, 1.0, 2.0]), [0, 2, 5])
         with pytest.raises(ProjectionError) as err:
             prox_grouped(g, 0.5, 3.0)
@@ -393,6 +432,30 @@ class TestProxGrouped:
         permuted = prox_grouped(GroupedVector(v[perm], offsets), lam, q).values
         np.testing.assert_allclose(permuted, out[perm], rtol=0.0,
                                    atol=1e-9 * np.abs(v).max())
+
+    @given(split_layouts(), st.sampled_from([1.5, 3.0, 5.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_splitting_groups(self, layout, q):
+        # the batched kernel gives every group what it would get alone,
+        # although groups leave the working set at very different steps
+        groups, lam = layout
+        offsets = np.cumsum([0] + [g.size for g in groups])
+        out = prox_grouped(GroupedVector(np.concatenate(groups), offsets),
+                           lam, q).values
+        for g, lo, hi in zip(groups, offsets[:-1], offsets[1:]):
+            alone, _ = prox_lq_general(g, lam, q)
+            assert np.abs(out[lo:hi] - alone).max() <= 1e-12 * np.abs(g).max()
+
+    def test_split_layouts_finish_at_different_steps(self):
+        # the kinds of group that test_splitting_groups draws close their
+        # brackets at very different outer steps under one lam
+        rng = np.random.default_rng(3)
+        groups = {kind: split_group(rng, kind, 6) for kind in SPLIT_KINDS}
+        lam = 0.5 * q_norm(groups["normal"], dual_exponent(3.0))
+        steps = {kind: prox_lq_general(g, lam, 3.0)[1].outer_iters
+                 for kind, g in groups.items()}
+        assert steps["equal"] == 0 < steps["large"] <= 3
+        assert min(steps["normal"], steps["wide"]) > 3
 
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
     @settings(max_examples=60, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupprox import l1_ball_threshold
-from groupprox.prox import _inner_roots, _newton_polish
+from groupprox.prox import _log_x, _newton_polish, _roots
 
 
 def h_residual(x, v, c, q):
@@ -14,63 +14,94 @@ def h_residual(x, v, c, q):
     return x + c * x ** (q - 1.0) - v
 
 
-def inner_root(v, c, q, lo=None, hi=None):
-    """Root in (0, v) of h, as the general-q kernel computes it: bisection
-    at the kernel's inner tolerance, then Newton polish."""
-    v_arr = np.array([v])
-    log_c = math.log(c)
-    bracket = [None if b is None else np.array([b]) for b in (lo, hi)]
-    x, _ = _inner_roots(v_arr, log_c, q, *bracket)
-    return float(_newton_polish(x, v_arr, log_c, q)[0])
+def inner_root(v, c, q, hint=None):
+    """(root in (0, v) of h, Newton variable, passes), as the general-q
+    kernel computes them: Newton on log x for q >= 2 and on log z,
+    z = c*x**(q-1), for q < 2, from ``hint`` on x or z where that is
+    smaller than the cold upper bound."""
+    log_v, u = np.log(np.array([v])), np.array([math.log(c)])
+    with np.errstate(divide="ignore"):
+        log_hint = None if hint is None else np.log(np.array([hint]))
+    t, passes = _roots(log_v, u, q, log_hint)
+    return math.exp(_log_x(t, log_v, u, q)[0]), math.exp(t[0]), passes
 
 
 class TestInnerRoots:
     def test_q2_linear(self):
         # x + x = 2
-        assert inner_root(2.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
+        assert inner_root(2.0, 1.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_golden_section_root(self):
         # x**2 + x - 1 = 0, positive root (sqrt(5)-1)/2
         expected = (math.sqrt(5.0) - 1.0) / 2.0
-        assert inner_root(1.0, 1.0, 3.0) == pytest.approx(expected, abs=1e-12)
+        assert inner_root(1.0, 1.0, 3.0)[0] == pytest.approx(expected, abs=1e-12)
 
     def test_sqrt_branch(self):
         # x + 0.5*sqrt(x) = 3: u = sqrt(x) solves u**2 + 0.5u - 3 = 0,
         # u = 1.5, so x = 2.25 exactly
-        root = inner_root(3.0, 0.5, 1.5)
+        root = inner_root(3.0, 0.5, 1.5)[0]
         assert root == pytest.approx(2.25, abs=1e-12)
         assert h_residual(2.25, 3.0, 0.5, 1.5) == 0.0
 
     def test_root_inside_open_interval(self):
         for v, c, q in [(5.0, 2.0, 2.5), (0.3, 10.0, 1.2), (7.0, 0.01, 6.0)]:
-            x = inner_root(v, c, q)
+            x = inner_root(v, c, q)[0]
             assert 0.0 < x < v
 
     def test_decreasing_in_c(self):
-        roots = [inner_root(2.0, c, 3.0) for c in (0.1, 1.0, 10.0, 100.0)]
+        roots = [inner_root(2.0, c, 3.0)[0] for c in (0.1, 1.0, 10.0, 100.0)]
         assert all(b < a for a, b in zip(roots, roots[1:]))
 
     def test_hint_agrees_with_cold_start(self):
-        cold = inner_root(2.0, 1.5, 2.5)
-        warm = inner_root(2.0, 1.5, 2.5, lo=cold - 1e-4, hi=cold + 1e-4)
-        assert warm == pytest.approx(cold, abs=1e-12)
+        # a bound just above the root (on x for q >= 2, on z for q < 2)
+        # starts Newton closer than the cold bound and ends at the same root
+        for q in (1.5, 2.5):
+            cold, w, cold_passes = inner_root(2.0, 1.5, q)
+            warm, _, warm_passes = inner_root(2.0, 1.5, q, hint=w * (1.0 + 1e-4))
+            assert warm == pytest.approx(cold, abs=1e-12)
+            assert warm_passes <= cold_passes
 
     def test_stale_hint_falls_back(self):
-        # the warm-start bracket misses the root: it falls back to (0, v)
-        cold = inner_root(2.0, 1.5, 2.5)
-        assert not 1.9 <= cold <= 1.95
-        warm = inner_root(2.0, 1.5, 2.5, lo=1.9, hi=1.95)
-        assert warm == pytest.approx(cold, abs=1e-12)
+        # a hint below the root is no upper bound: the first Newton step
+        # leaves it for a point above the root, and the answer is unchanged
+        for q in (1.5, 2.5):
+            cold, w, _ = inner_root(2.0, 1.5, q)
+            for below in (0.5, 1e-300, 0.0):
+                warm, w_warm, _ = inner_root(2.0, 1.5, q, hint=below * w)
+                assert warm == pytest.approx(cold, abs=1e-12)
+                assert w_warm == pytest.approx(w, abs=1e-12)
 
     @given(st.floats(0.1, 10.0), st.floats(0.01, 50.0), st.floats(1.05, 8.0))
     @settings(max_examples=100, deadline=None)
     def test_root_bracketed_within_delta(self, v, c, q):
         # h is increasing, so the true root must lie inside
         # [x - 2*delta, x + 2*delta]
-        x = inner_root(v, c, q)
+        x = inner_root(v, c, q)[0]
         pad = 2e-8
         assert h_residual(max(x - pad, 0.0), v, c, q) <= 1e-12 * (1.0 + v + c)
         assert h_residual(min(x + pad, v), v, c, q) >= -1e-12 * (1.0 + v + c)
+
+
+class TestNewtonPolish:
+    def test_zero_stays_zero_below_q2(self):
+        # for q < 2, h'(0) is infinite, so Newton's step from x = 0 is zero;
+        # an x = 0 is a root that underflowed and must not jump to v
+        x = _newton_polish(np.zeros(3), np.array([1.0, 2.0, 5e-324]), 0.0, 1.5)
+        np.testing.assert_array_equal(x, 0.0)
+
+    def test_zero_steps_to_v_above_q2(self):
+        # for q > 2, h'(0) = 1 and h(0) = -v: the step from 0 reaches v,
+        # then Newton comes down to the root
+        v = np.array([1.0])
+        x = _newton_polish(np.zeros(1), v, 0.0, 3.0, iters=1)
+        np.testing.assert_array_equal(x, v)
+
+    def test_sharpens_a_perturbed_root(self):
+        for q in (1.5, 3.0):
+            exact = inner_root(2.0, 1.5, q)[0]
+            x = _newton_polish(np.array([exact * (1.0 + 1e-6)]),
+                               np.array([2.0]), math.log(1.5), q)
+            assert float(x[0]) == pytest.approx(exact, rel=1e-14)
 
 
 class TestL1BallThreshold:
