@@ -23,10 +23,11 @@ step no longer shrinks, which it reaches at the rounding of the equation:
 over varied inputs, q from 1 + 1e-6 to 64, each inner solve took at most
 14 passes over the vector, and a projection takes one solve per outer step
 plus two for the ends of the bracket. The outer bracket stops at width
-1e-10 in u, which is scale-free; the safeguard halves every bracket at
-least every four steps, so the outer loop ends too, and over the same
-inputs took at most 21 steps. Every entry point rejects inf and nan, so
-the kernels only see finite magnitudes.
+1e-10 in u, which is scale-free, or where no float lies inside it (past
+|u| = 2**19, which large q reach); the safeguard halves every bracket at
+least every four steps until then, so the outer loop ends too, and over
+the same inputs took at most 21 steps. Every entry point rejects inf and
+nan, so the kernels only see finite magnitudes.
 
 Each form is one kernel batched over all groups of a flat vector, given as
 (values, offsets); the single-vector projections are its one-group case.
@@ -208,8 +209,7 @@ def _newton_roots(log_v, a, e, hint=None):
     where that is smaller. A hint may lie below the root, so the first step
     is taken in either direction: from below, convexity puts it above the
     root, and it is clipped to the cold bound. Returns (t, passes);
-    ``passes`` counts the evaluations of F, each over the coordinates still
-    moving.
+    ``passes`` counts the evaluations of F, each a pass over the vector.
     """
     cold = np.minimum(log_v, (log_v - a) / e)
     t = cold.copy() if hint is None else np.minimum(hint, cold)
@@ -218,26 +218,15 @@ def _newton_roots(log_v, a, e, hint=None):
         t -= _newton_step(t, log_v, a, e)
     np.fmin(t, cold, out=t)
     del cold
-    # t_out holds the answer; once fewer than half the coordinates move,
-    # they go on alone as t, at positions idx of t_out
-    t_out, idx, last, passes = t, None, np.inf, 1
+    last, passes = np.inf, 1
     while True:
         d = _newton_step(t, log_v, a, e)
         passes += 1
         move = t - d < t
         move &= d < last
-        n_move = np.count_nonzero(move)
-        if 2 * n_move <= move.size:
-            if idx is None:
-                idx = np.flatnonzero(move)
-            else:
-                t_out[idx[~move]] = t[~move]
-                idx = idx[move]
-            if not n_move:
-                return t_out, passes
-            log_v, a, t, d = (x[move] for x in (log_v, a, t, d))
-        else:
-            d[~move] = 0.0  # stopped stays stopped
+        if not move.any():
+            return t, passes
+        d[~move] = 0.0  # stopped stays stopped
         t -= d
         last = d
 
@@ -278,26 +267,23 @@ def _log_x(t, log_v, u, q):
     return log_x
 
 
-def _newton_polish(x, v, log_c, q, iters=3):
-    """Sharpen inner roots to machine precision with a few Newton steps.
+def _newton_polish(x, v, log_c, q):
+    """One Newton step on h(x) = x + c*x**(q-1) - v, for 1 < q < 2.
 
-    h(x) = x + c*x**(q-1) - v has h'(x) = 1 + c*(q-1)*x**(q-2) >= 1 on
-    (0, v), so Newton from a root accurate to rounding stays there, and the
-    final accuracy is limited only by the evaluation error of h. The step
-    is formed from a = c*x**(q-2) or from 1/a, whichever is at most one, so
-    it stays finite where c*x**(q-1) overflows. At x = 0, a is 0 for q > 2
-    and +inf for q < 2, where h' is infinite and the step is 0.
+    h'(x) = 1 + c*(q-1)*x**(q-2) >= 1 on (0, v), so the step from a root
+    accurate to a few digits squares its relative error. The step is formed
+    from a = c*x**(q-2) or from 1/a, whichever is at most one, so it stays
+    finite where a overflows. At x = 0, a is +inf, h' is infinite and the
+    step is 0.
     """
     e = q - 1.0
-    for _ in range(iters):
-        with np.errstate(divide="ignore"):
-            log_a = log_c + ((e - 1.0) * np.log(x) if q != 2.0 else 0.0)
-        r = np.exp(-np.abs(log_a))
-        # h/h' = (x - v + x*a)/(1 + e*a), divided through by a where a > 1
-        step = np.where(log_a > 0.0, ((x - v) * r + x) / (r + e),
-                        (x - v + x * r) / (1.0 + e * r))
-        x = np.clip(x - step, 0.0, v)
-    return x
+    with np.errstate(divide="ignore"):
+        log_a = log_c + (e - 1.0) * np.log(x)
+    r = np.exp(-np.abs(log_a))
+    # h/h' = (x - v + x*a)/(1 + e*a), divided through by a where a > 1
+    step = np.where(log_a > 0.0, ((x - v) * r + x) / (r + e),
+                    (x - v + x * r) / (1.0 + e * r))
+    return np.clip(x - step, 0.0, v)
 
 
 def _log_psi_groups(log_x, starts, sizes, q):
@@ -347,8 +333,9 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     is not positive. A step bisects instead where the trial point is not
     finite or the bracket did not halve over the previous three steps, so
     every bracket at least halves every four steps. A group leaves the
-    working set once its bracket is at most _OUTER_TOL wide. Returns
-    (x, u_star, outer_iters, inner_passes) in the caller's units.
+    working set once its bracket is at most _OUTER_TOL wide or has no float
+    inside. Returns (x, u_star, outer_iters, inner_passes) in the caller's
+    units.
     """
     log_lam = math.log(lam) - log_scale
     log_dual = np.log(dual)
@@ -394,6 +381,9 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     while True:
         # an endpoint root (phi within the margin of 0) also ends a bracket
         done = (u[1] - u[0] <= _OUTER_TOL) | (g[0] <= 0.0) | (g[1] >= 0.0)
+        # past |u| = 2**19 floats are more than _OUTER_TOL apart: a bracket
+        # with no float strictly inside cannot shrink further
+        done |= np.nextafter(u[0], np.inf) >= u[1]
         if done.any():
             # the root by linear interpolation between the ends: exact to
             # rounding in a bracket this narrow, and the end itself where
@@ -416,7 +406,7 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
                 # itself restores them
                 v = log_v[fin]
                 x = _newton_polish(np.exp(lx, out=lx), np.exp(v, out=v),
-                                   uf[gf], q, iters=1)
+                                   uf[gf], q)
                 x_out[live_c[fin]] = x * np.exp(log_scale[gf])
                 passes += 1
             else:

@@ -307,6 +307,17 @@ class TestProxLqGeneral:
         assert np.all(np.isfinite(x)) and np.any(x != 0.0)
         assert diag.inner_iters_total <= 16 * (diag.outer_iters + 2) + 1
 
+    @pytest.mark.parametrize("q", [6e5, 1e6])
+    def test_huge_q_bracket_closes(self, q):
+        # log c* is near 1e6, where floats lie more than the 1e-10 outer
+        # tolerance apart; the bracket must close anyway, on an answer
+        # within about 1/q of the q = inf clipping
+        v = np.array([1.0, 0.5])
+        lam = 0.5 * q_norm(v, dual_exponent(q))
+        x, diag = prox_lq_general(v, lam, q)
+        assert diag.outer_iters <= 100
+        np.testing.assert_allclose(x, prox_linf(v, lam), atol=1e-5)
+
     def test_underflowed_root_stays_zero(self):
         # for q = 1.5 the root at v = 5e-324 is about v**2, which underflows
         # to 0; the final Newton polish must not move it to v
