@@ -41,6 +41,21 @@ def _parse_q(text):
     return q
 
 
+def _parse_sizes(text):
+    """Comma-separated positive integers, also in float notation such as 1e3."""
+    sizes = []
+    for part in text.split(","):
+        try:
+            n = float(part)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"size {part!r} is not a number") from None
+        if not (n.is_integer() and n >= 1):
+            raise argparse.ArgumentTypeError(
+                f"size {part!r} is not a positive integer")
+        sizes.append(int(n))
+    return sizes
+
+
 def _read_vector(path):
     if path == "-":
         raw = sys.stdin.read()
@@ -153,8 +168,7 @@ def _cmd_synth(args):
 
 
 def _cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = bench_prox(sizes, args.q, args.ratio, args.seed, args.runs)
+    rows = bench_prox(args.sizes, args.q, args.ratio, args.seed, args.runs)
     with _output(args.out) as fh:
         fh.write("n,median_ns,outer_iters,inner_sweeps\n")
         for n, med, outer, inner in rows:
@@ -243,8 +257,8 @@ def build_parser():
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("bench", help="time the general-q projection")
-    p.add_argument("--sizes", default="1000,10000,100000",
-                   help="comma-separated vector sizes")
+    p.add_argument("--sizes", type=_parse_sizes, default="1000,10000,100000",
+                   help="comma-separated vector sizes, such as 1e3,1e4")
     p.add_argument("--q", type=_parse_q, default=3.0)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)

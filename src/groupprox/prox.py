@@ -134,11 +134,19 @@ def _prox_l2_groups(vals, offsets, lam):
 
 
 def _prox_linf_groups(vals, offsets, lam):
-    """Batched q = inf projection: clip each group at its l1-ball threshold."""
+    """Batched q = inf projection: clip each group at its l1-ball threshold.
+
+    Groups inside the l1 ball, or within rounding error of its boundary,
+    project to zero; only the others are sorted for a threshold.
+    """
     a = np.abs(vals)
-    t, l1 = _l1_ball_thresholds(a, offsets, lam)
-    t = np.where(l1 - lam > _BOUNDARY_RTOL * l1, t, 0.0)
-    return np.sign(vals) * np.minimum(a, np.repeat(t, np.diff(offsets)))
+    sizes = np.diff(offsets)
+    l1 = np.add.reduceat(a, offsets[:-1])
+    outside = l1 - lam > _BOUNDARY_RTOL * l1
+    t = np.zeros(sizes.size)
+    t[outside] = _l1_ball_thresholds(a[np.repeat(outside, sizes)],
+                                     sizes[outside], lam)
+    return np.sign(vals) * np.minimum(a, np.repeat(t, sizes))
 
 
 def _log_c_candidates(log_v, log_eps, log_keep, q):
@@ -556,8 +564,15 @@ def optimality_residual(x, v, lam, q):
     pos = a > 0.0
     powed = np.zeros_like(a)
     powed[pos] = np.exp((q - 1.0) * np.log(a[pos]) + (1.0 - q) * math.log(nrm))
-    defect = x + lam * np.sign(x) * powed - v
-    return float(np.abs(defect).max())
+    defect = np.abs(x + lam * np.sign(x) * powed - v)
+    # a root below the smallest subnormal rounds to an exact zero: count
+    # x_i = 0 (defect |v_i|) as satisfied when the defect changes sign
+    # between 0 and the next float toward v_i, where |x|**(q-1) is still
+    # near 1 for q near 1
+    tiny = math.nextafter(0.0, 1.0)
+    at_tiny = tiny + lam * math.exp((q - 1.0) * (math.log(tiny) - math.log(nrm)))
+    defect[~pos & (defect <= at_tiny)] = 0.0
+    return float(defect.max())
 
 
 def prox_objective(x, v, lam, q):

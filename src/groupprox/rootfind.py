@@ -1,12 +1,16 @@
 """The exact l1-ball threshold.
 
-The threshold is computed for every group of a flat vector at once; the
+The threshold is computed for many groups of a flat vector at once; the
 single-vector ``l1_ball_threshold`` is its one-group case. It is exact: a
-sort and a scan, with no tolerance and no sweep count. The general-q root
-finding lives in ``prox``: Newton inner roots, which stop where their steps
-stop shrinking (at most 14 passes per solve over varied inputs), under a
-safeguarded regula falsi outer step whose only tolerance is the 1e-10
-width of its bracket in log(c).
+sort and a scan, with no tolerance and no sweep count. Groups are batched
+by power-of-two size class: each class is one zero-padded matrix, one row
+per group, sorted and summed along its rows. Padding at most doubles the
+entries and there are at most log2(max size) + 1 classes, so the cost
+stays O(n log n) for any layout. The general-q root finding lives in
+``prox``: Newton inner roots, which stop where their steps stop shrinking
+(at most 14 passes per solve over varied inputs), under a safeguarded
+regula falsi outer step whose only tolerance is the 1e-10 width of its
+bracket in log(c).
 """
 
 import numpy as np
@@ -14,41 +18,39 @@ import numpy as np
 __all__ = ["l1_ball_threshold"]
 
 
-def _l1_ball_thresholds(a, offsets, lam):
+def _l1_ball_thresholds(a, sizes, lam):
     """Per-group root t_g of sum_{i in g} max(a_i - t, 0) = lam, for a >= 0.
 
-    Sorts each group's magnitudes in decreasing order and scans the
-    piecewise-linear segments, so no iterative tolerance is involved: on the
-    segment where the j largest entries are active, t = (top_j - lam)/j.
-    Returns (t, l1) per group; t is meaningful only where lam < l1.
+    The groups are contiguous runs of ``sizes`` entries of ``a``, and each
+    must lie outside the ball: lam below its l1 norm. With top_j the sum of
+    a group's j largest entries, t = (top_j - lam)/j on the segment where
+    those j are active, and that j maximizes (top_j - lam)/j, since the
+    ratio rises exactly while the next entry exceeds it. So no iterative
+    tolerance is involved.
     """
-    starts = offsets[:-1]
-    sizes = np.diff(offsets)
-    # sort by -a, then stably by group: group ids of at most 16 bits let
-    # numpy use a radix sort for the second pass
-    order = np.argsort(-a)
-    gid = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)),
-                    sizes)
-    order = order[np.argsort(gid[order], kind="stable")]
-    u = a[order]
-    l1 = np.add.reduceat(a, starts)
-    # Count the active entries from one cumulative sum over all groups, each
-    # scaled to unit l1 norm so earlier groups cost little precision; then
-    # take each group's exact top-j sum, so no sum crosses a group boundary.
-    scale = np.repeat(np.where(l1 > 0.0, l1, 1.0), sizes)
-    us = u / scale
-    css = np.cumsum(us)
-    css -= np.repeat(np.concatenate(([0.0], css[offsets[1:-1] - 1])), sizes)
-    rank = np.arange(1, u.size + 1) - np.repeat(starts, sizes)
-    with np.errstate(over="ignore"):  # lam/l1 overflows only where lam > l1
-        active = us > (css - lam / scale) / rank
-    # the largest entry is active unless lam is below its rounding error
-    j = np.maximum(np.add.reduceat(active.astype(np.intp), starts), 1)
-    # reduceat over [start, start + j) pairs; the appended zero lets
-    # start + j reach the end of the array
-    bounds = np.column_stack((starts, starts + j)).ravel()
-    top = np.add.reduceat(np.append(u, 0.0), bounds)[::2]
-    return (top - lam) / j, l1
+    t = np.empty(sizes.size)
+    # class k holds the sizes in [2**(k-1), 2**k)
+    size_class = np.frexp(sizes)[1]
+    entry_class = np.repeat(size_class, sizes)
+    for k in np.flatnonzero(np.bincount(size_class)):
+        rows = size_class == k
+        n = sizes[rows]
+        # negated magnitudes zero-padded to the class's largest size, so an
+        # ascending sort puts each group's largest first; a padded zero
+        # lowers the ratio, since lam is below the group's l1 norm
+        j = np.arange(1, n.max() + 1)
+        u = np.zeros((n.size, j.size))
+        u[j <= n[:, None]] = a[entry_class == k]
+        np.negative(u, out=u)
+        u.sort(axis=1)
+        # the row cumsum is -top_j, so the ratio is -(cumsum + lam)/j
+        ratio = np.cumsum(u, axis=1, out=u)
+        ratio += lam
+        ratio /= j
+        # numpy reduces a short contiguous axis one row at a time; the
+        # leading axis of the transposed copy reduces across rows at once
+        t[rows] = -np.ascontiguousarray(ratio.T).min(axis=0)
+    return t
 
 
 def l1_ball_threshold(v_abs, lam):
@@ -64,5 +66,4 @@ def l1_ball_threshold(v_abs, lam):
         raise ValueError(
             f"lambda must be smaller than the l1 norm ({lam} >= {total})"
         )
-    t, _ = _l1_ball_thresholds(v_abs, np.array([0, v_abs.size]), lam)
-    return float(t[0])
+    return float(_l1_ball_thresholds(v_abs, np.array([v_abs.size]), lam)[0])

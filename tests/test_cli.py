@@ -144,6 +144,21 @@ class TestBenchCommand:
             outer, inner = (int(f) for f in line.split(",")[2:])
             assert outer > 0 and inner > 0
 
+    def test_sizes_in_float_notation(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--sizes", "1e1,2e1", "--runs", "1",
+                     "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().strip().split("\n")[1:]
+        assert [int(line.split(",")[0]) for line in lines] == [10, 20]
+
+    @pytest.mark.parametrize("sizes", ["1.5e0", "0", "1e1,-2e1", "1e3,x"])
+    def test_bad_sizes_rejected(self, sizes, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", sizes])
+        assert exc.value.code == 2
+        assert "--sizes" in capsys.readouterr().err
+
 
 class TestDemoFixedPoint:
     def test_trace_csv(self, tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupprox import (
@@ -508,7 +508,7 @@ def linf_layouts(draw):
     scales = st.just(0.0) | st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e)
     groups = []
     for _ in range(draw(st.integers(1, 6))):
-        size = draw(st.integers(1, 8))
+        size = draw(st.integers(1, 20))
         base = draw(st.lists(entries, min_size=size, max_size=size))
         groups.append(draw(scales) * np.array(base))
     l1 = draw(st.sampled_from([float(np.abs(g).sum()) for g in groups]))
@@ -519,8 +519,22 @@ def linf_layouts(draw):
     return np.concatenate(groups), offsets, lam
 
 
+def sizes_1_to_140():
+    """Groups of every size from 1 to 140 and lam = 1, with every other
+    group scaled to lie inside the l1 ball."""
+    rng = np.random.default_rng(140)
+    groups = []
+    for size in range(1, 141):
+        g = rng.standard_normal(size)
+        l1 = rng.uniform(0.1, 0.9) if size % 2 else rng.uniform(1.1, 10.0)
+        groups.append(g * (l1 / np.abs(g).sum()))
+    offsets = np.cumsum([0] + [g.size for g in groups])
+    return np.concatenate(groups), offsets, 1.0
+
+
 class TestProxLinfBatched:
     @given(linf_layouts())
+    @example(sizes_1_to_140())
     @settings(max_examples=300, deadline=None)
     def test_matches_per_group_loop(self, layout):
         v, offsets, lam = layout
@@ -548,6 +562,25 @@ class TestOptimalityResidual:
     def test_zero_x_rejected(self):
         with pytest.raises(ValueError):
             optimality_residual(np.zeros(2), np.ones(2), 0.5, 2.0)
+
+    def test_underflowed_zero_counts_as_satisfied(self):
+        # near q = 1 the smaller coordinates' roots lie below the smallest
+        # subnormal and come back as exact zeros, which are correct
+        v = np.linspace(0.001, 1.0, 1000)
+        q = 1.0 + 1e-6
+        lam = 0.5 * q_norm(v, dual_exponent(q))
+        x, diag = prox_lq_general(v, lam, q)
+        assert np.any(x == 0.0)
+        assert diag.residual <= 1e-12
+
+    def test_wrong_zero_reports_its_defect(self):
+        # at q = 3 the root of the first coordinate is far from zero
+        v = np.array([1.0, 2.0])
+        q = 3.0
+        lam = 0.5 * q_norm(v, dual_exponent(q))
+        x, _ = prox_lq_general(v, lam, q)
+        x[0] = 0.0
+        assert optimality_residual(x, v, lam, q) >= v[0]
 
 
 class TestProjectionErrorPayload:
