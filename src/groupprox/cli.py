@@ -43,17 +43,10 @@ def _parse_q(text):
 
 def _parse_sizes(text):
     """Comma-separated positive integers, also in float notation such as 1e3."""
-    sizes = []
-    for part in text.split(","):
-        try:
-            n = float(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"size {part!r} is not a number") from None
-        if not (n.is_integer() and n >= 1):
-            raise argparse.ArgumentTypeError(
-                f"size {part!r} is not a positive integer")
-        sizes.append(int(n))
-    return sizes
+    sizes = [float(part) for part in text.split(",")]
+    if not all(n.is_integer() and n >= 1 for n in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be positive integers, got {text}")
+    return [int(n) for n in sizes]
 
 
 def _read_vector(path):

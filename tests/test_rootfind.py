@@ -122,7 +122,7 @@ class TestL1BallThreshold:
         st.lists(st.floats(0.0, 10.0), min_size=1, max_size=15),
         st.floats(1e-3, 0.999),
     )
-    @example(np.random.default_rng(5).uniform(0.0, 10.0, 100_000).tolist(), 0.5)
+    @example(np.random.default_rng(5).uniform(0.0, 10.0, 100_000), 0.5)
     @settings(max_examples=150, deadline=None)
     def test_exact_balance(self, vals, frac):
         v = np.array(vals)
