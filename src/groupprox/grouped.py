@@ -86,11 +86,20 @@ class GroupedVector:
         return np.diff(self.offsets)
 
     def with_values(self, values):
-        """Same partition, new coefficients."""
-        return GroupedVector(np.asarray(values, dtype=float), self.offsets)
+        """Same partition, new coefficients.
+
+        The partition was checked when this vector was built, so only the
+        new values' length and finiteness are checked.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise ValueError(f"values must have shape {self.values.shape}, got {values.shape}")
+        out = object.__new__(GroupedVector)
+        out.values, out.offsets = _finite(values), self.offsets
+        return out
 
     def copy(self):
-        return GroupedVector(self.values.copy(), self.offsets)
+        return self.with_values(self.values.copy())
 
 
 def q_norm(v, q):

@@ -80,33 +80,39 @@ def _check_shape(w, data):
         )
 
 
-def loss_value(w, data: Dataset, kind: LossKind):
-    """Loss at the d x k coefficient matrix W."""
+def _loss_at_product(z, data: Dataset, kind: LossKind, gradient=False):
+    """Loss from the product Z = A W, and its gradient in W when asked.
+
+    Returns (value, gradient or None). The targets are not checked here.
+    """
+    a, y = data.design, data.targets
+    if kind is LossKind.LEAST_SQUARES:
+        r = z - y
+        return 0.5 * float(np.square(r).sum()), a.T @ r if gradient else None
+    if kind is LossKind.LOGISTIC:
+        margins = y * z
+        # log(1 + exp(-t)) without overflow
+        value = float(np.logaddexp(0.0, -margins).sum())
+        return value, -(a.T @ (y * expit(-margins))) if gradient else None
+    raise ValueError(f"unknown loss kind {kind!r}")
+
+
+def _checked_product(w, data: Dataset, kind: LossKind):
+    """A W, after checking W's shape and, for logistic loss, the targets."""
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
     _check_shape(w, data)
-    if kind is LossKind.LEAST_SQUARES:
-        r = data.design @ w - data.targets
-        return 0.5 * float(np.square(r).sum())
     if kind is LossKind.LOGISTIC:
         data.check_logistic_targets()
-        margins = data.targets * (data.design @ w)
-        # log(1 + exp(-t)) without overflow
-        return float(np.logaddexp(0.0, -margins).sum())
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return data.design @ w
+
+
+def loss_value(w, data: Dataset, kind: LossKind):
+    """Loss at the d x k coefficient matrix W."""
+    return _loss_at_product(_checked_product(w, data, kind), data, kind)[0]
 
 
 def loss_gradient(w, data: Dataset, kind: LossKind):
     """Gradient of the loss with respect to W, shape d x k."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 1:
-        w = w[:, None]
-    _check_shape(w, data)
-    if kind is LossKind.LEAST_SQUARES:
-        return data.design.T @ (data.design @ w - data.targets)
-    if kind is LossKind.LOGISTIC:
-        data.check_logistic_targets()
-        margins = data.targets * (data.design @ w)
-        return -data.design.T @ (data.targets * expit(-margins))
-    raise ValueError(f"unknown loss kind {kind!r}")
+    return _loss_at_product(_checked_product(w, data, kind), data, kind, gradient=True)[1]

@@ -10,6 +10,12 @@ F(x_k) - F* <= 2 * L_k * ||x_0 - x*||**2 / (k + 1)**2 for the k-th accepted
 iterate x_k, its smoothness estimate L_k and any minimizer x* (Beck &
 Teboulle 2009, Thm. 4.4). The rate is an upper bound only: on strongly
 convex problems the gap may fall faster, even linearly.
+
+The loop keeps the products A x and A x_prev with the iterates. The search
+point is affine in them, so its product A s costs nothing, and the loss and
+gradient at s share it. An accepted iteration costs one A^T r (the
+gradient); each line-search trial costs one A y (the trial's loss), which
+becomes the next A x when the trial is accepted.
 """
 
 import math
@@ -18,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grouped import GroupedVector, _partition, dual_exponent, group_norms, mixed_norm
-from .losses import Dataset, LossKind, loss_gradient, loss_value
+from .grouped import GroupedVector, dual_exponent, group_norms, mixed_norm
+from .losses import Dataset, LossKind, _loss_at_product, loss_gradient, loss_value
 from .prox import prox_grouped
 
 __all__ = [
@@ -45,7 +51,11 @@ class NumericalFailure(RuntimeError):
 
 @dataclass
 class Problem:
-    """A grouped, regularized smooth-loss minimization instance."""
+    """A grouped, regularized smooth-loss minimization instance.
+
+    Everything is checked here, once: the partition, a finite lam >= 0,
+    q >= 1, the loss kind, and +-1 targets for the logistic loss.
+    """
 
     data: Dataset
     kind: LossKind
@@ -54,11 +64,17 @@ class Problem:
     q: float
 
     def __post_init__(self):
-        self.offsets = _partition(self.offsets, self.data.n_features * self.data.n_tasks)
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        p = self.data.n_features * self.data.n_tasks
+        self._zero = GroupedVector(np.zeros(p), self.offsets)
+        self.offsets = self._zero.offsets
+        if not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam!r}")
         if not self.q >= 1:
             raise ValueError("q must be at least 1")
+        if not isinstance(self.kind, LossKind):
+            raise ValueError(f"unknown loss kind {self.kind!r}")
+        if self.kind is LossKind.LOGISTIC:
+            self.data.check_logistic_targets()
 
     def _view(self, x):
         return x.reshape(self.data.n_features, self.data.n_tasks)
@@ -88,7 +104,7 @@ class Problem:
         return self.smooth(w) + self.lam * mixed_norm(w, self.q)
 
     def zero(self):
-        return GroupedVector(np.zeros(self.offsets[-1]), self.offsets)
+        return self._zero.copy()
 
 
 @dataclass
@@ -124,8 +140,8 @@ def _step(s, g, L, problem: Problem):
     the gradient), for the line search to reject.
     """
     try:
-        z = GroupedVector(s - g / L, problem.offsets)
-    except ValueError:  # the offsets are the problem's, so the values are not finite
+        z = problem._zero.with_values(s - g / L)
+    except ValueError:  # the length is the problem's, so the values are not finite
         return None
     return prox_grouped(z, problem.lam / L, problem.q)
 
@@ -169,7 +185,9 @@ def solve(problem: Problem, cfg: SolverConfig = None,
     """
     if cfg is None:
         cfg = SolverConfig()
+    data, kind, design = problem.data, problem.kind, problem.data.design
     x = x_prev = np.zeros(problem.offsets[-1]) if x0 is None else problem._values(x0)
+    ax = ax_prev = design @ problem._view(x)
     alpha_mm, alpha_m = 0.0, 1.0  # alpha_{i-2}, alpha_{i-1}
     L = cfg.L0
     obj_hist, L_hist, gaps = [], [], []
@@ -180,15 +198,16 @@ def solve(problem: Problem, cfg: SolverConfig = None,
     for i in range(1, cfg.max_iter + 1):
         beta = (alpha_mm - 1.0) / alpha_m
         s = x + beta * (x - x_prev)
-        g = problem._gradient(s)
-        loss_s = problem._loss(s)
+        loss_s, g = _loss_at_product(ax + beta * (ax - ax_prev), data, kind, gradient=True)
+        g = g.reshape(-1)
         if not math.isfinite(loss_s):
             raise NumericalFailure("loss at the search point is not finite", i)
         while True:
             y = _step(s, g, L, problem)
             if y is not None:
                 penalty = problem.lam * mixed_norm(y, problem.q)
-                f_y = problem._loss(y.values) + penalty
+                ay = design @ problem._view(y.values)
+                f_y = _loss_at_product(ay, data, kind)[0] + penalty
                 model = _model(y.values, s, loss_s, g, penalty, L)
                 if math.isfinite(f_y) and f_y <= model + 1e-12 * max(1.0, abs(model)):
                     break
@@ -197,6 +216,7 @@ def solve(problem: Problem, cfg: SolverConfig = None,
             L *= cfg.growth
 
         x_prev, x = x, y.values
+        ax_prev, ax = ax, ay
         alpha_mm, alpha_m = alpha_m, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_m**2))
         obj_hist.append(f_y)
         L_hist.append(L)

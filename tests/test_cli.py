@@ -109,6 +109,18 @@ class TestSynthAndSolve:
                      "--targets", str(tmp_path / "targets.csv"),
                      "--spec", str(tmp_path / "spec.json")]) == 2
 
+    @pytest.mark.parametrize("q, lam", [(2, "NaN"), (3, "NaN"), (2, "Infinity")])
+    def test_solve_nonfinite_lambda_is_input_error(self, tmp_path, q, lam):
+        # json reads NaN and Infinity; a solve on them used to end in a
+        # diverged line search (exit 3, numerical failure)
+        (tmp_path / "design.csv").write_text("1.0,2.0\n3.0,-1.0\n")
+        (tmp_path / "targets.csv").write_text("1.0\n-2.0\n")
+        (tmp_path / "spec.json").write_text(
+            f'{{"loss": "least_squares", "q": {q}, "lambda": {lam}}}')
+        assert main(["solve", "--design", str(tmp_path / "design.csv"),
+                     "--targets", str(tmp_path / "targets.csv"),
+                     "--spec", str(tmp_path / "spec.json")]) == 2
+
     def test_solve_unknown_loss_is_input_error(self, tmp_path):
         (tmp_path / "design.csv").write_text("1.0\n")
         (tmp_path / "targets.csv").write_text("1.0\n")

@@ -117,6 +117,23 @@ class TestGroupedVector:
         assert h.n_groups == 2
         np.testing.assert_array_equal(h.values, np.ones(4))
 
+    @pytest.mark.parametrize("bad", [[1.0, math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0],
+                                     [1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+                                     [[1.0, 2.0], [3.0, 4.0]]],
+                             ids=["nan", "inf", "short", "long", "matrix"])
+    def test_with_values_rejects_bad_values(self, bad):
+        g = GroupedVector(np.arange(4.0), [0, 2, 4])
+        with pytest.raises(ValueError):
+            g.with_values(np.array(bad))
+
+    def test_with_values_leaves_source_unchanged(self):
+        g = GroupedVector(np.arange(4.0), [0, 2, 4])
+        h = g.with_values(np.ones(4))
+        np.testing.assert_array_equal(g.values, np.arange(4.0))
+        np.testing.assert_array_equal(g.offsets, [0, 2, 4])
+        np.testing.assert_array_equal(h.offsets, [0, 2, 4])
+        assert h.values is not g.values
+
     def test_copy_is_independent(self):
         g = GroupedVector(np.arange(4.0), [0, 4])
         h = g.copy()

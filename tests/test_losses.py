@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from groupprox import Dataset, LossKind, loss_gradient, loss_value, row_group_offsets
+from groupprox.losses import _loss_at_product
 
 
 def fd_gradient(w, data, kind, step=1e-6):
@@ -129,3 +130,37 @@ class TestLossGradient:
             mid = loss_value(0.5 * (w1 + w2), data, kind)
             avg = 0.5 * (loss_value(w1, data, kind) + loss_value(w2, data, kind))
             assert mid <= avg + 1e-10 * max(1.0, abs(avg))
+
+
+def _dataset(kind, seed=6, m=7, d=4, k=3):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, d))
+    y = np.sign(rng.standard_normal((m, k))) if kind is LossKind.LOGISTIC \
+        else rng.standard_normal((m, k))
+    return Dataset(a, y), rng.standard_normal((d, k))
+
+
+class TestLossAtProduct:
+    @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
+    def test_matches_public_functions_bitwise(self, kind):
+        data, w = _dataset(kind)
+        z = data.design @ w
+        value, grad = _loss_at_product(z, data, kind, gradient=True)
+        assert value == loss_value(w, data, kind)
+        assert grad.tobytes() == loss_gradient(w, data, kind).tobytes()
+        assert _loss_at_product(z, data, kind) == (value, None)
+
+    @pytest.mark.parametrize("fn", [loss_value, loss_gradient])
+    def test_public_functions_check_logistic_targets(self, fn):
+        data, w = _dataset(LossKind.LEAST_SQUARES)  # real-valued targets
+        with pytest.raises(ValueError, match="logistic targets"):
+            fn(w, data, LossKind.LOGISTIC)
+
+    @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("fn", [loss_value, loss_gradient])
+    def test_public_functions_check_shape(self, fn, kind):
+        data, w = _dataset(kind)
+        with pytest.raises(ValueError, match="W must be"):
+            fn(w[:-1], data, kind)
+        with pytest.raises(ValueError, match="W must be"):
+            fn(w.T, data, kind)

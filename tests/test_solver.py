@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import groupprox.grouped
+import groupprox.solver
 from groupprox import (
     Dataset,
     GroupedVector,
@@ -10,6 +12,9 @@ from groupprox import (
     Problem,
     SolverConfig,
     lambda_max,
+    loss_gradient,
+    loss_value,
+    mixed_norm,
     model_value,
     prox_grouped,
     prox_step,
@@ -43,6 +48,22 @@ class TestProblem:
         data = Dataset(np.ones((3, 10)), np.ones((3, 4)))
         with pytest.raises(ValueError):
             Problem(data, LossKind.LEAST_SQUARES, [0, 24, 8, 40], 0.1, 2.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.1])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        p = small_problem()
+        with pytest.raises(ValueError, match="lambda"):
+            Problem(p.data, p.kind, p.offsets, lam, p.q)
+
+    def test_kind_must_be_a_loss_kind(self):
+        p = small_problem()
+        with pytest.raises(ValueError, match="loss kind"):
+            Problem(p.data, "least_squares", p.offsets, p.lam, p.q)
+
+    def test_logistic_targets_checked_at_construction(self):
+        p = small_problem()  # real-valued targets
+        with pytest.raises(ValueError, match="logistic targets"):
+            Problem(p.data, LossKind.LOGISTIC, p.offsets, p.lam, p.q)
 
     def test_objective_composes_loss_and_penalty(self):
         p = small_problem()
@@ -269,3 +290,75 @@ class TestRegPath:
         f_cold = prob_last.objective(cold.W)
         assert abs(f_warm - f_cold) <= 1e-6 * max(1.0, abs(f_cold))
         assert warm.iterations < cold.iterations
+
+
+def reference_solve(p, max_iter, rel_tol):
+    """The accelerated loop written plainly: every product recomputed."""
+    shape = (p.data.n_features, p.data.n_tasks)
+    f = lambda v: loss_value(v.reshape(shape), p.data, p.kind)
+    grad = lambda v: loss_gradient(v.reshape(shape), p.data, p.kind).reshape(-1)
+    x = x_prev = np.zeros(p.offsets[-1])
+    alpha_mm, alpha_m, L = 0.0, 1.0, 1.0
+    objs, Ls = [], []
+    for _ in range(max_iter):
+        s = x + (alpha_mm - 1.0) / alpha_m * (x - x_prev)
+        g, f_s = grad(s), f(s)
+        while True:
+            y = prox_grouped(GroupedVector(s - g / L, p.offsets), p.lam / L, p.q)
+            penalty = p.lam * mixed_norm(y, p.q)
+            d = y.values - s
+            f_y = f(y.values) + penalty
+            model = f_s + float(g @ d) + penalty + 0.5 * L * float(d @ d)
+            if f_y <= model + 1e-12 * max(1.0, abs(model)):
+                break
+            L *= 2.0
+        x_prev, x = x, y.values
+        alpha_mm, alpha_m = alpha_m, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * alpha_m**2))
+        objs.append(f_y)
+        Ls.append(L)
+        if len(objs) > 1 and abs(f_y - objs[-2]) <= rel_tol * max(1.0, abs(objs[-2])):
+            break
+    return np.array(objs), np.array(Ls)
+
+
+class TestSameAlgorithm:
+    @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
+    def test_matches_uncached_reference_loop(self, kind, q):
+        p = small_problem(seed=7, m=20, d=8, k=3, kind=kind, q=q, lam_ratio=0.2)
+        res = solve(p, SolverConfig(max_iter=400, rel_tol=1e-9))
+        objs, Ls = reference_solve(p, max_iter=400, rel_tol=1e-9)
+        assert res.iterations == len(objs)
+        np.testing.assert_array_equal(res.L_history, Ls)
+        np.testing.assert_allclose(res.objective_history, objs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
+    def test_one_transpose_product_per_iteration_one_product_per_trial(
+            self, kind, monkeypatch):
+        p = small_problem(seed=3, kind=kind, lam_ratio=0.2)
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append("A" if self.shape == p.data.design.shape else "At")
+                return np.asarray(self) @ other
+
+        p.data.design = p.data.design.view(Counted)
+        trials, partitions = [], []
+
+        def counted_prox(*args):
+            trials.append(1)
+            return prox_grouped(*args)
+
+        def counted_partition(*args):
+            partitions.append(1)
+            return partition(*args)
+
+        partition = groupprox.grouped._partition
+        monkeypatch.setattr(groupprox.solver, "prox_grouped", counted_prox)
+        monkeypatch.setattr(groupprox.grouped, "_partition", counted_partition)
+        res = solve(p, SolverConfig(L0=1e-3, max_iter=60, rel_tol=1e-14))
+        assert len(trials) > res.iterations  # the line search backtracked
+        assert products.count("At") == res.iterations
+        assert products.count("A") == 1 + len(trials)  # A x0, then one per trial
+        assert partitions == []
