@@ -49,6 +49,16 @@ def _parse_sizes(text):
     return [int(n) for n in sizes]
 
 
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return n
+
+
 def _read_vector(path):
     if path == "-":
         raw = sys.stdin.read()
@@ -83,7 +93,7 @@ def _cmd_prox(args):
     v = _read_vector(args.input)
     if args.groups:
         offsets = np.array(json.loads(args.groups), dtype=np.intp)
-    elif args.group_size:
+    elif args.group_size is not None:
         if v.size % args.group_size:
             raise ValueError("group size must divide the vector length")
         offsets = np.arange(0, v.size + 1, args.group_size, dtype=np.intp)
@@ -116,7 +126,7 @@ def _cmd_solve(args):
     else:
         np.savetxt(sys.stdout, w, delimiter=",", fmt="%.17g")
     print(
-        f"iterations={res.iterations} objective={float(res.objective_history[-1])!r} "
+        f"iterations={res.iterations} objective={float(res.objective_history.min())!r} "
         f"converged={res.converged}",
         file=sys.stderr,
     )
@@ -221,7 +231,7 @@ def build_parser():
     p.add_argument("--q", type=_parse_q, required=True)
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--groups", help="JSON offsets array, e.g. [0,2,4]")
-    p.add_argument("--group-size", type=int)
+    p.add_argument("--group-size", type=_positive_int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_prox)
 

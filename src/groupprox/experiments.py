@@ -148,7 +148,7 @@ def run_path_experiment(cfg: ExperimentConfig, solver_cfg: SolverConfig = None,
             frobenius_error=float(np.linalg.norm(x_hat - x_true)),
             support_f1=support_f1(row_norms, true_support, thr),
             row_l2_norms=row_norms,
-            objective=float(res.objective_history[-1]),
+            objective=float(res.objective_history.min()),
             iterations=res.iterations,
             wall_time_ms=elapsed_ms,
         ))

@@ -113,7 +113,7 @@ def _one_group(v):
 def prox_l2(v, lam):
     """Closed form for q = 2: scale v by max(0, (||v||_2 - lam)/||v||_2)."""
     v = _finite(np.asarray(v, dtype=float))
-    return v.copy() if v.size == 0 else _prox_l2_groups(v, _one_group(v), lam)
+    return v.copy() if v.size == 0 else _prox_l2_groups(v, _one_group(v), lam)[0]
 
 
 def prox_linf(v, lam):
@@ -121,23 +121,27 @@ def prox_linf(v, lam):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     v = _finite(np.asarray(v, dtype=float))
-    return v.copy() if v.size == 0 else _prox_linf_groups(v, _one_group(v), lam)
+    return v.copy() if v.size == 0 else _prox_linf_groups(v, _one_group(v), lam)[0]
 
 
 def _prox_l2_groups(vals, offsets, lam):
-    """Batched q = 2 projection: each group scaled by max(0, 1 - lam/||v_g||)."""
+    """Batched q = 2 projection: each group scaled by max(0, 1 - lam/||v_g||).
+
+    Returns (x, norms), norms the l2-norm of each group of x.
+    """
     norms = group_norms(vals, offsets, 2.0)
     factor = np.maximum(0.0, 1.0 - lam / np.where(norms > 0.0, norms, 1.0))
     # snap groups within rounding error of the boundary to exact zero
     factor[norms - lam <= _BOUNDARY_RTOL * norms] = 0.0
-    return vals * np.repeat(factor, np.diff(offsets))
+    return vals * np.repeat(factor, np.diff(offsets)), factor * norms
 
 
 def _prox_linf_groups(vals, offsets, lam):
     """Batched q = inf projection: clip each group at its l1-ball threshold.
 
     Groups inside the l1 ball, or within rounding error of its boundary,
-    project to zero; only the others are sorted for a threshold.
+    project to zero; only the others are sorted for a threshold. Returns
+    (x, t): a group's threshold t, 0 for a zero group, is its max-norm in x.
     """
     a = np.abs(vals)
     sizes = np.diff(offsets)
@@ -146,7 +150,7 @@ def _prox_linf_groups(vals, offsets, lam):
     t = np.zeros(sizes.size)
     t[outside] = _l1_ball_thresholds(a[np.repeat(outside, sizes)],
                                      sizes[outside], lam)
-    return np.sign(vals) * np.minimum(a, np.repeat(t, sizes))
+    return np.sign(vals) * np.minimum(a, np.repeat(t, sizes)), t
 
 
 def _log_c_candidates(log_v, log_eps, log_keep, q):
@@ -527,28 +531,40 @@ def prox_lq_general(v, lam, q):
                               optimality_residual(x, v, lam, q))
 
 
-def prox_grouped(v: GroupedVector, lam, q) -> GroupedVector:
+def prox_grouped(v: GroupedVector, lam, q, norms=None) -> GroupedVector:
     """Apply the lq projection to every group with one batched kernel per q.
 
     q = 1 is the flat soft threshold, q = 2 and q = inf the batched closed
     and semi-closed forms, any other q > 1 the batched nested zero-finding.
+
+    ``norms``, if given, is an output array of length ``v.n_groups`` that
+    receives the lq-norm of each group of the result, so that the penalty
+    lam*sum(norms) costs no second pass over it. At q = 2 and q = inf the
+    kernels hold these norms already (the scaled input norm and the l1-ball
+    threshold); at other q they are computed from the result.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    if lam == 0.0:
-        return v.copy()
+    if not q >= 1.0:
+        raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
+    if norms is not None and np.shape(norms) != (v.n_groups,):
+        raise ValueError(f"norms must have shape ({v.n_groups},), got {np.shape(norms)}")
     vals, offsets = v.values, v.offsets
-    if q == 1.0:
+    found = None
+    if lam == 0.0:
+        out = vals.copy()
+    elif q == 1.0:
         out = prox_l1(vals, lam)
     elif q == 2.0:
-        out = _prox_l2_groups(vals, offsets, lam)
+        out, found = _prox_l2_groups(vals, offsets, lam)
     elif math.isinf(q):
-        out = _prox_linf_groups(vals, offsets, lam)
-    elif q > 1.0:
-        out = _prox_lq_groups(vals, offsets, lam, q)[0]
+        out, found = _prox_linf_groups(vals, offsets, lam)
     else:
-        raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
-    return v.with_values(out)
+        out = _prox_lq_groups(vals, offsets, lam, q)[0]
+    out = v.with_values(out)
+    if norms is not None:
+        norms[...] = group_norms(out.values, offsets, q) if found is None else found
+    return out
 
 
 def optimality_residual(x, v, lam, q):

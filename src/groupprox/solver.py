@@ -14,8 +14,10 @@ convex problems the gap may fall faster, even linearly.
 The loop keeps the products A x and A x_prev with the iterates. The search
 point is affine in them, so its product A s costs nothing, and the loss and
 gradient at s share it. An accepted iteration costs one A^T r (the
-gradient); each line-search trial costs one A y (the trial's loss), which
-becomes the next A x when the trial is accepted.
+gradient). Each line-search trial costs one grouped prox call, which also
+reports the group norms of its output and so the trial's penalty, and one
+A y (the trial's loss), which becomes the next A x when the trial is
+accepted.
 """
 
 import math
@@ -24,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grouped import GroupedVector, dual_exponent, group_norms, mixed_norm
+from .grouped import GroupedVector, _partition, dual_exponent, group_norms, mixed_norm
 from .losses import Dataset, LossKind, _loss_at_product, loss_gradient, loss_value
 from .prox import prox_grouped
 
@@ -133,9 +135,10 @@ class SolverResult:
     cert_gaps: np.ndarray = field(default=None)
 
 
-def _step(s, g, L, problem: Problem):
+def _step(s, g, L, problem: Problem, norms=None):
     """Gradient step from s (gradient g) then prox at level lam/L.
 
+    ``norms``, if given, receives the lq-norm of each group of the result.
     Returns None when the gradient step is not finite (L is too small for
     the gradient), for the line search to reject.
     """
@@ -143,7 +146,7 @@ def _step(s, g, L, problem: Problem):
         z = problem._zero.with_values(s - g / L)
     except ValueError:  # the length is the problem's, so the values are not finite
         return None
-    return prox_grouped(z, problem.lam / L, problem.q)
+    return prox_grouped(z, problem.lam / L, problem.q, norms)
 
 
 def _model(y, s, loss_s, g, penalty, L):
@@ -194,6 +197,7 @@ def solve(problem: Problem, cfg: SolverConfig = None,
     best_f, best = math.inf, None
     prev_f = None
     converged = False
+    norms = np.empty(problem.offsets.size - 1)  # group norms of each trial
 
     for i in range(1, cfg.max_iter + 1):
         beta = (alpha_mm - 1.0) / alpha_m
@@ -203,9 +207,9 @@ def solve(problem: Problem, cfg: SolverConfig = None,
         if not math.isfinite(loss_s):
             raise NumericalFailure("loss at the search point is not finite", i)
         while True:
-            y = _step(s, g, L, problem)
+            y = _step(s, g, L, problem, norms)
             if y is not None:
-                penalty = problem.lam * mixed_norm(y, problem.q)
+                penalty = problem.lam * float(norms.sum())
                 ay = design @ problem._view(y.values)
                 f_y = _loss_at_product(ay, data, kind)[0] + penalty
                 model = _model(y.values, s, loss_s, g, penalty, L)
@@ -245,7 +249,7 @@ def lambda_max(data: Dataset, kind: LossKind, offsets, q):
     for any lambda at or above it, the first proximal step from zero
     returns zero, which is then a fixed point.
     """
-    offsets = np.asarray(offsets, dtype=np.intp)
+    offsets = _partition(offsets, data.n_features * data.n_tasks)
     w0 = np.zeros((data.n_features, data.n_tasks))
     g = loss_gradient(w0, data, kind).reshape(-1)
     return float(group_norms(g, offsets, dual_exponent(q)).max())

@@ -47,6 +47,16 @@ class TestProxCommand:
         assert main(["prox", str(inp), "--q", "2", "--lambda", "0.5",
                      "--group-size", "2"]) == 2
 
+    @pytest.mark.parametrize("size", ["0", "-2"])
+    def test_nonpositive_group_size_is_input_error(self, size, tmp_path, capsys):
+        inp = tmp_path / "v.txt"
+        inp.write_text("1 2 3 4\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["prox", str(inp), "--q", "2", "--lambda", "0.5",
+                  "--group-size", size])
+        assert exc.value.code == 2
+        assert "--group-size: must be a positive integer" in capsys.readouterr().err
+
     def test_empty_input_is_input_error(self, tmp_path):
         inp = tmp_path / "v.txt"
         inp.write_text("")

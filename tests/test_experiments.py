@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import groupprox.experiments
 import groupprox.prox as prox_module
 from groupprox.experiments import (
     METRICS_HEADER,
@@ -139,6 +140,24 @@ class TestRunPathExperiment:
         assert float(first[0]) == 1.0
         norms = first[-1].split(";")
         assert len(norms) == cfg.d
+
+    @pytest.mark.parametrize("q", [2.0, math.inf])
+    def test_objective_is_the_returned_iterates(self, q, monkeypatch):
+        # W is the best iterate, which is often not the last one
+        solved = []
+        real = groupprox.experiments.solve
+
+        def recording_solve(problem, cfg, x0=None):
+            res = real(problem, cfg, x0=x0)
+            solved.append((problem, res.W))
+            return res
+
+        monkeypatch.setattr(groupprox.experiments, "solve", recording_solve)
+        cfg = ExperimentConfig(**dict(TINY, ratios=default_ratios(20), q=q))
+        rows = run_path_experiment(cfg)
+        assert len(solved) == len(rows)
+        for row, (problem, w) in zip(rows, solved):
+            assert row.objective == pytest.approx(problem.objective(w), rel=1e-12)
 
     def test_projection_error_recorded_on_row(self, monkeypatch):
         # a c bracket shifted far above the root fails the endpoint-sign

@@ -10,6 +10,7 @@ from groupprox import (
     ProjectionError,
     c_interval,
     dual_exponent,
+    group_norms,
     is_zero_solution,
     optimality_residual,
     phi,
@@ -400,6 +401,36 @@ class TestProxGrouped:
             batched = prox_grouped(g, lam, q).values
             pieces = [prox_lq_general(g.group(i), lam, q)[0] for i in range(3)]
             np.testing.assert_allclose(batched, np.concatenate(pieces), atol=1e-7)
+
+    @pytest.mark.parametrize("lam", [0.8, 0.0])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    def test_norms_output_is_group_norms_of_result(self, q, lam):
+        rng = np.random.default_rng(43)
+        # dual norm at lam: projects to zero, or within rounding of it
+        boundary = rng.standard_normal(4)
+        boundary *= 0.8 / q_norm(boundary, dual_exponent(q))
+        groups = [rng.standard_normal(5), np.zeros(3), boundary,
+                  np.array([0.0, -2.5, 0.0]), rng.standard_normal(1),
+                  3.0 * rng.standard_normal(7)]
+        offsets = np.cumsum([0] + [len(grp) for grp in groups])
+        g = GroupedVector(np.concatenate(groups), offsets)
+        norms = np.full(len(groups), np.nan)
+        out = prox_grouped(g, lam, q, norms)
+        assert out.values.tobytes() == prox_grouped(g, lam, q).values.tobytes()
+        np.testing.assert_allclose(norms, group_norms(out.values, offsets, q),
+                                   rtol=1e-12, atol=0)
+        assert norms[1] == 0.0 and norms[0] > 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_q_below_one_rejected(self, lam):
+        g = GroupedVector(np.ones(4), [0, 2, 4])
+        with pytest.raises(ValueError, match="q >= 1"):
+            prox_grouped(g, lam, 0.5)
+
+    def test_norms_output_of_wrong_shape_rejected(self):
+        g = GroupedVector(np.ones(4), [0, 2, 4])
+        with pytest.raises(ValueError, match="norms"):
+            prox_grouped(g, 0.5, 2.0, np.empty(3))
 
     def test_inf_groups(self):
         g = GroupedVector(np.array([3.0, 1.0, -3.0, 1.0]), [0, 2, 4])

@@ -208,7 +208,7 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(p, SolverConfig(max_iter=5), x0=GroupedVector(np.zeros(12), [0, 12]))
 
-    @pytest.mark.parametrize("q", [1.5, 2.0, math.inf])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_one_iteration_is_prox_step_and_model(self, q):
         p = small_problem(q=q)
         x0 = p.zero().with_values(np.linspace(-0.5, 0.5, 12))
@@ -261,6 +261,13 @@ class TestLambdaMax:
         cfg = SolverConfig(max_iter=300)
         assert np.all(solve(above, cfg).W.values == 0.0)
         assert np.any(solve(below, cfg).W.values != 0.0)
+
+    @pytest.mark.parametrize("offsets", [[0, 4, 4, 12], [0, 5]],
+                             ids=["empty-group", "short"])
+    def test_offsets_must_partition_the_coefficients(self, offsets):
+        p = small_problem()  # 6 features x 2 tasks
+        with pytest.raises(ValueError, match="offsets"):
+            lambda_max(p.data, p.kind, offsets, p.q)
 
 
 class TestRegPath:
@@ -323,7 +330,7 @@ def reference_solve(p, max_iter, rel_tol):
 
 class TestSameAlgorithm:
     @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
-    @pytest.mark.parametrize("q", [2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
     def test_matches_uncached_reference_loop(self, kind, q):
         p = small_problem(seed=7, m=20, d=8, k=3, kind=kind, q=q, lam_ratio=0.2)
         res = solve(p, SolverConfig(max_iter=400, rel_tol=1e-9))
