@@ -126,13 +126,16 @@ def q_norm(v, q):
 
 def group_norms(values, offsets, q):
     """Per-group lq-norms of a flat vector, vectorized over groups."""
-    values = np.asarray(values, dtype=float)
     offsets = np.asarray(offsets, dtype=np.intp)
-    a = np.abs(values)
-    starts = offsets[:-1]
-    m = np.maximum.reduceat(a, starts)
+    a = np.abs(np.asarray(values, dtype=float))
+    return _group_norms(a, np.maximum.reduceat(a, offsets[:-1]), offsets, q)
+
+
+def _group_norms(a, m, offsets, q):
+    """group_norms from the magnitudes ``a`` and each group's largest ``m``."""
     if math.isinf(q):
         return m
+    starts = offsets[:-1]
     safe = np.where(m > 0.0, m, 1.0)
     scaled = a / np.repeat(safe, np.diff(offsets))
     if q == 1.0:

@@ -9,25 +9,30 @@ the solution is recovered from two nested zero-finding problems: an outer
 scalar root c* of phi(c) = lam*psi(c) - c, and, per evaluation of phi, the
 per-coordinate roots of x + c*x**(q-1) = v_i. The outer search runs over
 u = log(c), because the bracket endpoints can span hundreds of orders of
-magnitude for large q, with Illinois-type regula falsi steps safeguarded
-by bisection. Each inner root comes from Newton's method on a logarithm,
-started from an upper bound or from the chord between the roots at the
-bracket's ends; for q < 2 it runs on z = c*x**(q-1), which turns the
-equation into the same convex form. Each group is solved scaled to unit
-max-magnitude: the projection commutes with scaling (v, lam) ->
-(s*v, s*lam), which shifts u by (2-q)*log(s), so nothing in the solve
-overflows and the result is scale-equivariant up to rounding.
+magnitude for large q, with Newton steps from the bracket's left end,
+safeguarded by bisection. Their slope comes from the inner roots at no
+extra pass: at a root, d log x_i/du = -(v_i - x_i)/(x_i + (q-1)(v_i - x_i)).
+Each inner root comes from Newton's method on a logarithm, started from an
+upper bound or from the previous step's roots moved along that tangent;
+for q < 2 it runs on z = c*x**(q-1), which turns the equation into the
+same convex form. Each group is solved scaled to unit max-magnitude: the
+projection commutes with scaling (v, lam) -> (s*v, s*lam), which shifts u
+by (2-q)*log(s), so nothing in the solve overflows and the result is
+scale-equivariant up to rounding.
 
 No loop has a cap or a sweep tolerance. A Newton coordinate stops once its
 step no longer shrinks, which it reaches at the rounding of the equation:
 over varied inputs, q from 1 + 1e-6 to 64, each inner solve took at most
 14 passes over the vector, and a projection takes one solve per outer step
-plus two for the ends of the bracket. The outer bracket stops at width
-1e-10 in u, which is scale-free, or where no float lies inside it (past
-|u| = 2**19, which large q reach); the safeguard halves every bracket at
-least every four steps until then, so the outer loop ends too, and over
-the same inputs took at most 21 steps. Every entry point rejects inf and
-nan, so the kernels only see finite magnitudes.
+plus one at the left end of the bracket. The outer Newton stops at a step
+of 1e-10 in u, which is scale-free, or of one float spacing at u (past
+|u| = 2**19, which large q reach), or where the error its quadratic
+convergence predicts for the Newton point is below rounding; every outer
+step evaluates phi strictly inside the bracket and shrinks it, so the
+outer loop ends too, and over 10,500 random groups (q from 1 + 1e-6 to
+100, 2 to 60 entries) took at most 8 steps. Every entry point rejects inf
+and nan in v and a nan or negative lam, so the kernels only see finite
+magnitudes.
 
 Each form is one kernel batched over all groups of a flat vector, given as
 (values, offsets); the single-vector projections are its one-group case.
@@ -39,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grouped import GroupedVector, _finite, dual_exponent, group_norms, q_norm
+from .grouped import (GroupedVector, _finite, _group_norms, dual_exponent,
+                      group_norms, q_norm)
 from .rootfind import _l1_ball_thresholds
 # kept importable from here: perfbench's tracer hooks it by this module's name
 from .rootfind import l1_ball_threshold  # noqa: F401
@@ -64,7 +70,7 @@ __all__ = [
 # the true solution is within tolerance of zero by continuity.
 _BOUNDARY_RTOL = 1e-12
 
-# Outer bracket tolerance in u = log(c).
+# Outer tolerance in u = log(c), on the Newton step and the bracket width.
 _OUTER_TOL = 1e-10
 
 
@@ -100,8 +106,15 @@ def is_zero_solution(v, lam, q):
     return lam >= q_norm(v, dual_exponent(q))
 
 
+def _check_lam(lam):
+    """Reject a negative or nan lam; lam = inf projects everything to 0."""
+    if not lam >= 0:
+        raise ValueError(f"lambda must be nonnegative, got {lam}")
+
+
 def prox_l1(v, lam):
     """Soft threshold: sgn(v) * max(|v| - lam, 0)."""
+    _check_lam(lam)
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - lam, 0.0)
 
@@ -112,14 +125,14 @@ def _one_group(v):
 
 def prox_l2(v, lam):
     """Closed form for q = 2: scale v by max(0, (||v||_2 - lam)/||v||_2)."""
+    _check_lam(lam)
     v = _finite(np.asarray(v, dtype=float))
     return v.copy() if v.size == 0 else _prox_l2_groups(v, _one_group(v), lam)[0]
 
 
 def prox_linf(v, lam):
     """Semi-closed form for q = inf: clip |v| at the l1-ball threshold t*."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lam(lam)
     v = _finite(np.asarray(v, dtype=float))
     return v.copy() if v.size == 0 else _prox_linf_groups(v, _one_group(v), lam)[0]
 
@@ -236,9 +249,11 @@ def _newton_roots(log_v, a, e, hint=None):
         passes += 1
         move = t - d < t
         move &= d < last
-        if not move.any():
+        if not np.count_nonzero(move):
             return t, passes
-        d[~move] = 0.0  # stopped stays stopped
+        # stopped stays stopped; d is finite here, since every iterate
+        # after the first lies above the root, so this zeroes it
+        d *= move
         t -= d
         last = d
 
@@ -298,11 +313,46 @@ def _newton_polish(x, v, log_c, q):
     return np.clip(x - step, 0.0, v)
 
 
-def _log_psi_groups(log_x, starts, sizes, q):
-    """log psi(c) per group, psi = (sum_i x_i**q)**((1-q)/q), from log x."""
+def _dlog_x(log_x, u, q):
+    """d log x_i/du at the inner roots x_i of x + exp(u)*x**(q-1) = v.
+
+    Differentiating the equation gives -r/(1 + (q-1)*r), r = (v - x)/x,
+    and at a root r = c*x**(q-2), which log x gives without cancellation.
+    Written as -1/(1/r + q - 1), it lies in [-1/(q-1), 0] and stays
+    finite where 1/r over- or underflows (x = 0 for q < 2 included).
+    """
+    d = (2.0 - q) * log_x
+    d -= u
+    with np.errstate(over="ignore"):
+        np.exp(d, out=d)
+    d += q - 1.0
+    np.reciprocal(d, out=d)
+    return np.negative(d, out=d)
+
+
+def _d2log_x(dlog_x, q):
+    """d2 log x_i/du2 at the inner roots, from a = d log x_i/du.
+
+    With a = -1/(1/r + q - 1) and d log r/du = 1 + (q-2)*a, it is
+    a*(1 + (q-1)*a)*(1 + (q-2)*a).
+    """
+    return dlog_x * (1.0 + (q - 1.0) * dlog_x) * (1.0 + (q - 2.0) * dlog_x)
+
+
+def _log_psi_groups(log_x, starts, sizes, q, dlog_x=None):
+    """log psi(c) per group, psi = (sum_i x_i**q)**((1-q)/q), from log x.
+
+    Given ``dlog_x`` = d log x_i/du, also returns d log psi/du per group:
+    (1-q) times the x**q-weighted mean of dlog_x.
+    """
     top = np.maximum.reduceat(log_x, starts)
-    s = np.add.reduceat(np.exp(q * (log_x - np.repeat(top, sizes))), starts)
-    return (1.0 - q) * top + ((1.0 - q) / q) * np.log(s)
+    w = np.exp(q * (log_x - np.repeat(top, sizes)))
+    s = np.add.reduceat(w, starts)
+    log_psi = (1.0 - q) * top + ((1.0 - q) / q) * np.log(s)
+    if dlog_x is None:
+        return log_psi
+    w *= dlog_x
+    return log_psi, (1.0 - q) * np.add.reduceat(w, starts) / s
 
 
 def phi(c, v_abs, lam, q):
@@ -312,8 +362,11 @@ def phi(c, v_abs, lam, q):
     phi(0) = lam*||v||_q**(1-q) > 0. The roots are found for v scaled to
     unit max-magnitude, which shifts log(c) by (q-2)*log(max v).
     """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"c must be finite and nonnegative, got {c}")
+    if not 1.0 < q < math.inf:
+        raise ValueError(f"phi needs 1 < q < inf, got {q}")
+    _check_lam(lam)
     v_abs = _finite(np.asarray(v_abs, dtype=float))
     if np.any(v_abs <= 0.0):
         raise ValueError("phi needs strictly positive entries")
@@ -330,7 +383,7 @@ def phi(c, v_abs, lam, q):
 
 def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
                            log_scale, groups):
-    """Outer root of every group: regula falsi in u = log(c) over Newton roots.
+    """Outer root of every group: safeguarded Newton in u = log(c).
 
     ``log_v`` holds the log-magnitudes of the nonzero entries of all active
     groups back to back, each less its group's ``log_scale`` (the log of
@@ -339,15 +392,21 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     maps coordinates to group index, ``dual`` is the per-group dual norm
     ||v||_qbar and ``groups`` the caller's index of each group, for errors.
 
-    Each step tries the regula falsi point of the bracket. An end kept twice
-    running has its weight scaled by the Anderson-Bjorck factor
-    1 - g_new/g_old, or halved as in the Illinois method where that factor
-    is not positive. A step bisects instead where the trial point is not
-    finite or the bracket did not halve over the previous three steps, so
-    every bracket at least halves every four steps. A group leaves the
-    working set once its bracket is at most _OUTER_TOL wide or has no float
-    inside. Returns (x, u_star, outer_iters, inner_passes) in the caller's
-    units.
+    Newton runs on G(u) = log(lam) + log(psi(u)) - u, phi in log units,
+    from the left end of the bracket, where G >= 0. Its slope
+    dG/du = d log psi/du - 1 lies in [-1, 0) and comes from the inner
+    roots at no extra pass (_dlog_x). The right end is a bound only:
+    theory puts G <= 0 there. A step bisects the bracket instead where the
+    Newton point is not finite or not strictly inside it, so every step
+    evaluates G strictly inside and shrinks the bracket. A group leaves
+    the working set once its Newton step is at most _OUTER_TOL or the
+    float spacing at u, its bracket is at most _OUTER_TOL wide or has no
+    float inside, or, after a Newton step of length ``prev``, the
+    quadratic-convergence estimate |step|**3/prev**2 of the Newton point's
+    error is below the float spacing at u. Its root is then the Newton
+    point clipped to the bracket, and x the last roots moved to it to
+    second order in u. Returns (x, u_star, outer_iters, inner_passes) in
+    the caller's units.
     """
     log_lam = math.log(lam) - log_scale
     log_dual = np.log(dual)
@@ -356,69 +415,64 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     log_c = _log_c_candidates(
         np.stack((np.minimum.reduceat(log_v, starts), np.zeros(sizes.size))),
         np.log(dual - lam) - log_dual, math.log(lam) - log_dual, q)
-    u = np.sort(log_c, axis=0)
-    # Newton variables at both ends
-    t = np.empty((2, log_v.size))
-    t[0], passes = _roots(log_v, u[0][gid], q)
-    t[1], n = _roots(log_v, u[1][gid], q)
-    passes += n
+    lo, hi = np.sort(log_c, axis=0)
+    u = lo.copy()
+    t, passes = _roots(log_v, u[gid], q)
 
-    def g_at(t, u):  # phi in log units at roots t, positive left of the root
-        log_x = _log_x(t, log_v, u[gid], q)
-        return log_lam + _log_psi_groups(log_x, starts, sizes, q) - u
+    def at(t, u):  # log x, d log x/du, G and dG/du at roots t
+        ug = u[gid]
+        log_x = _log_x(t, log_v, ug, q)
+        dlog_x = _dlog_x(log_x, ug, q)
+        log_psi, slope = _log_psi_groups(log_x, starts, sizes, q, dlog_x)
+        return log_x, dlog_x, log_lam + log_psi - u, slope - 1.0
 
-    g = np.stack([g_at(t[i], u[i]) for i in (0, 1)])
-    # Theory guarantees phi(c_low) >= 0 >= phi(c_high); allow a small
-    # numerical margin (log-scale units) before declaring inconsistency.
-    margin = 1e-6
-    bad = np.nonzero((g[0] < -margin) | (g[1] > margin))[0]
+    log_x, dlog_x, g, slope = at(t, u)
+    # Theory guarantees phi(c_low) >= 0; allow a small numerical margin
+    # (log-scale units) before declaring inconsistency.
+    bad = np.nonzero(g < -1e-6)[0]
     if bad.size:
         b = int(bad[0])
         shift = (2.0 - q) * log_scale[b]
         raise ProjectionError(
             "phi endpoint signs inconsistent",
             epsilon=float((dual[b] - lam) / dual[b]),
-            c_low=math.exp(u[0, b] + shift),
-            c_high=math.exp(u[1, b] + shift), phi_low=float(g[0, b]),
-            phi_high=float(g[1, b]), group=int(groups[b]),
+            c_low=math.exp(lo[b] + shift), c_high=math.exp(hi[b] + shift),
+            phi_low=float(g[b]), group=int(groups[b]),
         )
+    # within the margin, a negative G at the left end is rounding: the end
+    # is the root
+    np.maximum(g, 0.0, out=g)
 
     x_out, u_out = np.empty(log_v.size), np.empty(sizes.size)
-    idx, cols = np.arange(sizes.size), np.arange(log_v.size)
-    live_c, live_g = cols, idx
-    f = g.copy()                      # regula falsi weights of the ends
-    kept = np.full(sizes.size, -1)    # end kept by the last step
-    w1 = w2 = w3 = np.full(sizes.size, np.inf)  # widths 1, 2, 3 steps ago
+    live_c, live_g = np.arange(log_v.size), np.arange(sizes.size)
+    open_hi = np.ones(sizes.size, dtype=bool)  # G not yet evaluated at hi
+    prev = np.zeros(sizes.size)  # the last step, where it was Newton's
     outer = 0
     while True:
-        # an endpoint root (phi within the margin of 0) also ends a bracket
-        done = (u[1] - u[0] <= _OUTER_TOL) | (g[0] <= 0.0) | (g[1] >= 0.0)
-        # past |u| = 2**19 floats are more than _OUTER_TOL apart: a bracket
-        # with no float strictly inside cannot shrink further
-        done |= np.nextafter(u[0], np.inf) >= u[1]
-        if done.any():
-            # the root by linear interpolation between the ends: exact to
-            # rounding in a bracket this narrow, and the end itself where
-            # the bracket closed on an endpoint root
-            with np.errstate(invalid="ignore", divide="ignore"):
-                r = g[0] / (g[0] - g[1])
-            r = np.where(g[0] <= 0.0, 0.0, np.where(g[1] >= 0.0, 1.0, r))
+        step = -g / slope
+        newton = u + step
+        # past |u| = 2**19 floats lie more than _OUTER_TOL apart
+        length, ulp = np.abs(step), np.spacing(np.abs(u))
+        done = length <= np.maximum(ulp, _OUTER_TOL)
+        done |= (hi - lo <= _OUTER_TOL) | (np.nextafter(lo, hi) >= hi)
+        # converging quadratically, the Newton point is off by about
+        # |step|**3/prev**2, which may already lie below the float spacing
+        done |= length**3 <= ulp * prev**2
+        if np.count_nonzero(done):
+            # fmax and fmin take the bracket end over a nan Newton point
+            uf = np.fmin(np.fmax(newton, lo), hi)
             fin = np.flatnonzero(done[gid])
             gf = gid[fin]
-            lx = _log_x(t[1, fin], log_v[fin], u[1, gf], q)
-            lx0 = _log_x(t[0, fin], log_v[fin], u[0, gf], q)
-            lx -= lx0
-            lx *= r[gf]
-            lx += lx0
-            del lx0
-            uf = u[0] + r * (u[1] - u[0])
+            # log x at uf, to second order in the distance d from u
+            a, d = dlog_x[fin], (uf - u)[gf]
+            lx = log_x[fin] + d * (a + 0.5 * d * _d2log_x(a, q))
+            del a, d, log_x  # the next log x comes from the next roots
             if q < 2.0:
                 # below half of v, x is the power term of the z-equation,
                 # which loses digits as q nears 1; one Newton step on x
                 # itself restores them
-                v = log_v[fin]
-                x = _newton_polish(np.exp(lx, out=lx), np.exp(v, out=v),
-                                   uf[gf], q)
+                v = np.exp(log_v[fin])
+                x = _newton_polish(np.exp(lx, out=lx), v, uf[gf], q)
                 x_out[live_c[fin]] = x * np.exp(log_scale[gf])
                 passes += 1
             else:
@@ -426,43 +480,41 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
                 x_out[live_c[fin]] = np.exp(lx)
             u_out[live_g[done]] = uf[done] + (2.0 - q) * log_scale[done]
             keep, keep_c = ~done, ~done[gid]
-            u, g, f = u[:, keep], g[:, keep], f[:, keep]
-            kept, w1, w2, w3, log_lam, log_scale, sizes, live_g = (
-                a[keep] for a in (kept, w1, w2, w3, log_lam, log_scale, sizes,
-                                  live_g))
-            t, log_v, live_c = t[:, keep_c], log_v[keep_c], live_c[keep_c]
+            (u, lo, hi, open_hi, prev, newton, log_lam, log_scale, sizes,
+             live_g) = (a[keep] for a in (u, lo, hi, open_hi, prev, newton,
+                                          log_lam, log_scale, sizes, live_g))
+            t, dlog_x, log_v, live_c = (
+                a[keep_c] for a in (t, dlog_x, log_v, live_c))
             if not sizes.size:
                 return x_out, u_out, outer, passes
             starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
             gid = np.repeat(np.arange(sizes.size), sizes)
-            idx, cols = np.arange(sizes.size), np.arange(log_v.size)
         outer += 1
-        width = u[1] - u[0]
-        ut = u[1] - f[1] * width / (f[1] - f[0])
-        # a step of at least half the tolerance lets a bracket whose end
-        # has converged close on the far side of the root
-        ut = np.minimum(np.maximum(ut, u[0] + 0.5 * _OUTER_TOL),
-                        u[1] - 0.5 * _OUTER_TOL)
-        bisect = np.isnan(ut) | (width > 0.5 * w3)
-        ut = np.where(bisect, u[0] + 0.5 * width, ut)
-        w1, w2, w3 = width, w1, w2
-        # start Newton on the chord between the roots at the ends
-        chord = t[1] - t[0]
-        chord *= ((ut - u[0]) / width)[gid]
-        chord += t[0]
-        tt, n = _roots(log_v, ut[gid], q, chord)
-        del chord
+        # a Newton point at or past the unevaluated right end tries the end
+        # itself, where the root lies when the bound is tight; any other
+        # point not strictly inside, nan included, bisects
+        inside = (newton > lo) & (newton < hi)
+        trial = np.where(inside, newton,
+                         np.where(open_hi & (newton >= hi), hi,
+                                  lo + 0.5 * (hi - lo)))
+        prev = np.where(inside, np.abs(trial - u), 0.0)
+        # start the inner solve from the last roots moved along their
+        # tangent, built in place: d log x/du for q >= 2, and for the
+        # z-variable of q < 2, d log z/du = 1 + (q-1)*d log x/du
+        if q < 2.0:
+            dlog_x *= q - 1.0
+            dlog_x += 1.0
+        dlog_x *= (trial - u)[gid]
+        t += dlog_x
+        del dlog_x
+        t, n = _roots(log_v, trial[gid], q, t)
         passes += n
-        gt = g_at(tt, ut)
-        # replace the end on the root's far side of ut; nan counts as >= 0
-        end = (gt < 0.0).astype(np.intp)
-        other = 1 - end
-        # weight of an end kept twice running: Anderson-Bjorck, else halved
-        m = 1.0 - gt / g[end, idx]
-        f[other, idx] *= np.where(kept == other, np.where(m > 0.0, m, 0.5), 1.0)
-        kept = other
-        u[end, idx], g[end, idx], f[end, idx] = ut, gt, gt
-        t[end[gid], cols] = tt
+        u = trial
+        log_x, dlog_x, g, slope = at(t, u)
+        right = g < 0.0
+        hi = np.where(right, u, hi)
+        lo = np.where(right, lo, u)
+        open_hi &= ~right
 
 
 def _prox_lq_groups(vals, offsets, lam, q):
@@ -477,7 +529,9 @@ def _prox_lq_groups(vals, offsets, lam, q):
     where the projection is zero.
     """
     sizes = np.diff(offsets)
-    dual = group_norms(vals, offsets, dual_exponent(q))
+    a = np.abs(vals)
+    top = np.maximum.reduceat(a, offsets[:-1])
+    dual = _group_norms(a, top, offsets, dual_exponent(q))
     active = dual - lam > _BOUNDARY_RTOL * dual
     eps = np.zeros_like(dual)
     eps[active] = (dual[active] - lam) / dual[active]
@@ -487,7 +541,7 @@ def _prox_lq_groups(vals, offsets, lam, q):
     c_star = np.full(dual.size, np.nan)
 
     single = np.repeat(active & (nnz == 1), sizes) & nonzero
-    out[single] = np.sign(vals[single]) * (np.abs(vals[single]) - lam)
+    out[single] = np.sign(vals[single]) * (a[single] - lam)
 
     nested = active & (nnz > 1)
     if not np.any(nested):
@@ -497,8 +551,8 @@ def _prox_lq_groups(vals, offsets, lam, q):
     sub_sizes = nnz[nested]
     sub_starts = np.concatenate(([0], np.cumsum(sub_sizes)[:-1]))
     gid = np.repeat(np.arange(sub_sizes.size), sub_sizes)
-    log_scale = np.log(group_norms(vals, offsets, math.inf)[nested])
-    log_v = np.log(np.abs(vals[sel])) - log_scale[gid]
+    log_scale = np.log(top[nested])
+    log_v = np.log(a[sel]) - log_scale[gid]
     x, u_star, outer, inner = _solve_positive_groups(
         log_v, sub_starts, sub_sizes, gid, lam, q, dual[nested], log_scale,
         np.flatnonzero(nested),
@@ -518,8 +572,7 @@ def prox_lq_general(v, lam, q):
     """
     if not 1.0 < q < math.inf:
         raise ValueError(f"prox_lq_general needs 1 < q < inf, got {q}")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lam(lam)
     v = _finite(np.asarray(v, dtype=float))
     if lam == 0.0 or v.size == 0:
         return v.copy(), ProxDiagnostics(None, 0.0, 0, 0, 0.0)
@@ -543,8 +596,7 @@ def prox_grouped(v: GroupedVector, lam, q, norms=None) -> GroupedVector:
     kernels hold these norms already (the scaled input norm and the l1-ball
     threshold); at other q they are computed from the result.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    _check_lam(lam)
     if not q >= 1.0:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
     if norms is not None and np.shape(norms) != (v.n_groups,):

@@ -8,9 +8,9 @@ per group, sorted and summed along its rows. Padding at most doubles the
 entries and there are at most log2(max size) + 1 classes, so the cost
 stays O(n log n) for any layout. The general-q root finding lives in
 ``prox``: Newton inner roots, which stop where their steps stop shrinking
-(at most 14 passes per solve over varied inputs), under a safeguarded
-regula falsi outer step whose only tolerance is the 1e-10 width of its
-bracket in log(c).
+(at most 14 passes per solve over varied inputs), under a Newton outer
+step on log(c), safeguarded by bisection, whose only tolerance is a step
+of 1e-10 in log(c).
 """
 
 import numpy as np

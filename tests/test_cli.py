@@ -47,6 +47,12 @@ class TestProxCommand:
         assert main(["prox", str(inp), "--q", "2", "--lambda", "0.5",
                      "--group-size", "2"]) == 2
 
+    @pytest.mark.parametrize("q", ["1", "2", "3", "inf"])
+    def test_nan_lambda_is_input_error(self, q, tmp_path):
+        inp = tmp_path / "v.txt"
+        inp.write_text("1 2 3\n")
+        assert main(["prox", str(inp), "--q", q, "--lambda", "nan"]) == 2
+
     @pytest.mark.parametrize("size", ["0", "-2"])
     def test_nonpositive_group_size_is_input_error(self, size, tmp_path, capsys):
         inp = tmp_path / "v.txt"
