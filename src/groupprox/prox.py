@@ -395,18 +395,17 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     Newton runs on G(u) = log(lam) + log(psi(u)) - u, phi in log units,
     from the left end of the bracket, where G >= 0. Its slope
     dG/du = d log psi/du - 1 lies in [-1, 0) and comes from the inner
-    roots at no extra pass (_dlog_x). The right end is a bound only:
-    theory puts G <= 0 there. A step bisects the bracket instead where the
-    Newton point is not finite or not strictly inside it, so every step
-    evaluates G strictly inside and shrinks the bracket. A group leaves
-    the working set once its Newton step is at most _OUTER_TOL or the
-    float spacing at u, its bracket is at most _OUTER_TOL wide or has no
-    float inside, or, after a Newton step of length ``prev``, the
-    quadratic-convergence estimate |step|**3/prev**2 of the Newton point's
-    error is below the float spacing at u. Its root is then the Newton
-    point clipped to the bracket, and x the last roots moved to it to
-    second order in u. Returns (x, u_star, outer_iters, inner_passes) in
-    the caller's units.
+    roots at no extra pass (_dlog_x); ``fall`` is its negative. The right
+    end is a bound only: theory puts G <= 0 there. A step bisects the
+    bracket instead where the Newton point is not finite or not strictly
+    inside it, so every step evaluates G strictly inside and shrinks the
+    bracket. A group leaves the working set once its Newton step or its
+    bracket is at most _OUTER_TOL or the float spacing at u, or, after a
+    Newton step of length ``prev``, the quadratic-convergence estimate
+    |step|**3/prev**2 of the Newton point's error is below the float
+    spacing at u. Its root is then the Newton point clipped to the
+    bracket, and x the last roots moved to it to second order in u.
+    Returns (x, u_star, outer_iters, inner_passes) in the caller's units.
     """
     log_lam = math.log(lam) - log_scale
     log_dual = np.log(dual)
@@ -417,16 +416,17 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
         np.log(dual - lam) - log_dual, math.log(lam) - log_dual, q)
     lo, hi = np.sort(log_c, axis=0)
     u = lo.copy()
-    t, passes = _roots(log_v, u[gid], q)
+    ug = u[gid]
+    t, passes = _roots(log_v, ug, q)
 
-    def at(t, u):  # log x, d log x/du, G and dG/du at roots t
-        ug = u[gid]
+    def at(t, u, ug):  # log x, d log x/du, G and -dG/du at roots t
         log_x = _log_x(t, log_v, ug, q)
         dlog_x = _dlog_x(log_x, ug, q)
-        log_psi, slope = _log_psi_groups(log_x, starts, sizes, q, dlog_x)
-        return log_x, dlog_x, log_lam + log_psi - u, slope - 1.0
+        log_psi, dlog_psi = _log_psi_groups(log_x, starts, sizes, q, dlog_x)
+        return log_x, dlog_x, log_lam + log_psi - u, 1.0 - dlog_psi
 
-    log_x, dlog_x, g, slope = at(t, u)
+    log_x, dlog_x, g, fall = at(t, u, ug)
+    del ug
     # Theory guarantees phi(c_low) >= 0; allow a small numerical margin
     # (log-scale units) before declaring inconsistency.
     bad = np.nonzero(g < -1e-6)[0]
@@ -449,15 +449,15 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     prev = np.zeros(sizes.size)  # the last step, where it was Newton's
     outer = 0
     while True:
-        step = -g / slope
+        step = g / fall
         newton = u + step
-        # past |u| = 2**19 floats lie more than _OUTER_TOL apart
+        # past |u| = 2**19 floats lie more than _OUTER_TOL apart, and a
+        # bracket no wider than the float spacing has no float inside
         length, ulp = np.abs(step), np.spacing(np.abs(u))
-        done = length <= np.maximum(ulp, _OUTER_TOL)
-        done |= (hi - lo <= _OUTER_TOL) | (np.nextafter(lo, hi) >= hi)
+        tol = np.maximum(ulp, _OUTER_TOL)
         # converging quadratically, the Newton point is off by about
         # |step|**3/prev**2, which may already lie below the float spacing
-        done |= length**3 <= ulp * prev**2
+        done = (length <= tol) | (hi - lo <= tol) | (length**3 <= ulp * prev**2)
         if np.count_nonzero(done):
             # fmax and fmin take the bracket end over a nan Newton point
             uf = np.fmin(np.fmax(newton, lo), hi)
@@ -480,8 +480,8 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
                 x_out[live_c[fin]] = np.exp(lx)
             u_out[live_g[done]] = uf[done] + (2.0 - q) * log_scale[done]
             keep, keep_c = ~done, ~done[gid]
-            (u, lo, hi, open_hi, prev, newton, log_lam, log_scale, sizes,
-             live_g) = (a[keep] for a in (u, lo, hi, open_hi, prev, newton,
+            (u, lo, hi, open_hi, length, newton, log_lam, log_scale, sizes,
+             live_g) = (a[keep] for a in (u, lo, hi, open_hi, length, newton,
                                           log_lam, log_scale, sizes, live_g))
             t, dlog_x, log_v, live_c = (
                 a[keep_c] for a in (t, dlog_x, log_v, live_c))
@@ -497,7 +497,7 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
         trial = np.where(inside, newton,
                          np.where(open_hi & (newton >= hi), hi,
                                   lo + 0.5 * (hi - lo)))
-        prev = np.where(inside, np.abs(trial - u), 0.0)
+        prev = length * inside
         # start the inner solve from the last roots moved along their
         # tangent, built in place: d log x/du for q >= 2, and for the
         # z-variable of q < 2, d log z/du = 1 + (q-1)*d log x/du
@@ -507,14 +507,16 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
         dlog_x *= (trial - u)[gid]
         t += dlog_x
         del dlog_x
-        t, n = _roots(log_v, trial[gid], q, t)
+        ug = trial[gid]
+        t, n = _roots(log_v, ug, q, t)
         passes += n
         u = trial
-        log_x, dlog_x, g, slope = at(t, u)
-        right = g < 0.0
-        hi = np.where(right, u, hi)
-        lo = np.where(right, lo, u)
-        open_hi &= ~right
+        log_x, dlog_x, g, fall = at(t, u, ug)
+        del ug
+        left = g >= 0.0
+        lo = np.where(left, u, lo)
+        hi = np.where(left, hi, u)
+        open_hi &= left
 
 
 def _prox_lq_groups(vals, offsets, lam, q):
@@ -544,7 +546,7 @@ def _prox_lq_groups(vals, offsets, lam, q):
     out[single] = np.sign(vals[single]) * (a[single] - lam)
 
     nested = active & (nnz > 1)
-    if not np.any(nested):
+    if not nested.any():
         return out, c_star, eps, 0, 0
     sel = np.repeat(nested, sizes) & nonzero
     # zero coordinates drop out but group contiguity is preserved
