@@ -27,12 +27,12 @@ over varied inputs, q from 1 + 1e-6 to 64, each inner solve took at most
 plus one at the left end of the bracket. The outer Newton stops at a step
 of 1e-10 in u, which is scale-free, or of one float spacing at u (past
 |u| = 2**19, which large q reach), or where the error its quadratic
-convergence predicts for the Newton point is below rounding; every outer
-step evaluates phi strictly inside the bracket and shrinks it, so the
-outer loop ends too, and over 10,500 random groups (q from 1 + 1e-6 to
-100, 2 to 60 entries) took at most 8 steps. Every entry point rejects inf
-and nan in v and a nan or negative lam, so the kernels only see finite
-magnitudes.
+convergence predicts for the Newton point is below rounding. Every outer
+step but one try of the bracket's right end evaluates phi strictly inside
+the bracket and shrinks it, so the outer loop ends too; over 10,500
+random groups (q from 1 + 1e-6 to 100, 2 to 60 entries) it took at most
+8 steps. Every entry point rejects inf and nan in v and a nan or negative
+lam, so the kernels only see finite magnitudes.
 
 Each form is one kernel batched over all groups of a flat vector, given as
 (values, offsets); the single-vector projections are its one-group case.
@@ -251,8 +251,8 @@ def _newton_roots(log_v, a, e, hint=None):
         move &= d < last
         if not np.count_nonzero(move):
             return t, passes
-        # stopped stays stopped; d is finite here, since every iterate
-        # after the first lies above the root, so this zeroes it
+        # zero the steps of stopped coordinates, so that they stay stopped
+        # (d is finite: after the first step every iterate is above the root)
         d *= move
         t -= d
         last = d
@@ -396,12 +396,13 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     from the left end of the bracket, where G >= 0. Its slope
     dG/du = d log psi/du - 1 lies in [-1, 0) and comes from the inner
     roots at no extra pass (_dlog_x); ``fall`` is its negative. The right
-    end is a bound only: theory puts G <= 0 there. A step bisects the
-    bracket instead where the Newton point is not finite or not strictly
-    inside it, so every step evaluates G strictly inside and shrinks the
-    bracket. A group leaves the working set once its Newton step or its
-    bracket is at most _OUTER_TOL or the float spacing at u, or, after a
-    Newton step of length ``prev``, the quadratic-convergence estimate
+    end is a bound only: theory puts G <= 0 there, and a Newton point at
+    or past it tries the end itself once. Any other Newton point that is
+    not finite or not strictly inside the bracket bisects it instead, so
+    every other step evaluates G strictly inside and shrinks the bracket.
+    A group leaves the working set once its Newton step or its bracket is
+    at most _OUTER_TOL or the float spacing at u, or, after a Newton step
+    of length ``prev``, the quadratic-convergence estimate
     |step|**3/prev**2 of the Newton point's error is below the float
     spacing at u. Its root is then the Newton point clipped to the
     bracket, and x the last roots moved to it to second order in u.
