@@ -137,12 +137,13 @@ def _group_norms(a, m, offsets, q):
         return m
     starts = offsets[:-1]
     safe = np.where(m > 0.0, m, 1.0)
-    scaled = a / np.repeat(safe, np.diff(offsets))
+    scaled = np.repeat(safe, np.diff(offsets))
+    np.divide(a, scaled, out=scaled)
     if q == 1.0:
         return m * np.add.reduceat(scaled, starts)
     if q == 2.0:
-        return m * np.sqrt(np.add.reduceat(scaled * scaled, starts))
-    return m * np.add.reduceat(np.power(scaled, q), starts) ** (1.0 / q)
+        return m * np.sqrt(np.add.reduceat(np.square(scaled, out=scaled), starts))
+    return m * np.add.reduceat(np.power(scaled, q, out=scaled), starts) ** (1.0 / q)
 
 
 def mixed_norm(w: GroupedVector, q):

@@ -23,8 +23,8 @@ from groupprox import (
     q_norm,
 )
 import groupprox.prox as prox_module
-from groupprox.prox import (_BOUNDARY_RTOL, _d2log_x, _dlog_x, _log_psi_groups,
-                            _log_x, _roots)
+from groupprox.prox import (_BLOCK, _BOUNDARY_RTOL, _d2log_x, _dlog_x,
+                            _log_psi_groups, _log_x, _roots)
 
 GENERAL_QS = (1.25, 1.5, 1.75, 2.33, 3.0, 5.0)
 
@@ -352,6 +352,21 @@ class TestProxLqGeneral:
         assert diag.outer_iters <= 100
         np.testing.assert_allclose(x, prox_linf(v, lam), atol=1e-5)
 
+    @pytest.mark.parametrize("q", [1e8, 1e10, 1e12])
+    def test_astronomical_q_gives_max_norm_prox(self, q):
+        # log c* is near q here: the outer solve resolves x only to about
+        # q*eps, coarser than the q = inf answer's distance from the exact
+        # one (about lam*ln(2)/q), so that answer is returned, by the batched
+        # kernel too
+        v = np.array([1.0, 0.5])
+        lam = 0.5 * q_norm(v, dual_exponent(q))
+        x, _ = prox_lq_general(v, lam, q)
+        assert np.abs(x - prox_linf(v, lam)).max() <= 1e-9 * np.abs(v).max()
+        both = GroupedVector(np.concatenate((v, [3.0, -1.0, 0.2])), [0, 2, 5])
+        alone = [prox_lq_general(both.group(i), lam, q)[0] for i in range(2)]
+        np.testing.assert_array_equal(prox_grouped(both, lam, q).values,
+                                      np.concatenate(alone))
+
     def test_underflowed_root_stays_zero(self):
         # for q = 1.5 the root at v = 5e-324 is about v**2, which underflows
         # to 0; the final Newton polish must not move it to v
@@ -429,6 +444,61 @@ class TestNewtonOuterStep:
             _, diag = prox_lq_general(v, 0.5 * q_norm(v, dual_exponent(q)), q)
             assert diag.outer_iters <= 5
             assert diag.inner_iters_total <= 32
+
+
+def spread_roots_input(rng, n, q, warm):
+    """log v, u and a hint for _roots on n coordinates whose magnitudes and
+    u spread widest mid-vector, so that the blocks of the inner solve need
+    different numbers of passes, the last the fewest; the hint is the
+    roots at a nearby u."""
+    spread = 100.0 * (1.0 - np.abs(np.linspace(-1.0, 1.0, n)))
+    log_v = np.log(np.abs(rng.standard_normal(n))) + rng.uniform(-1, 1, n) * spread
+    log_v -= log_v.max()
+    u = rng.uniform(-1.0, 1.0, n) * spread
+    hint = _roots(log_v, u + rng.normal(0.0, 0.3, n), q)[0] if warm else None
+    return log_v, u, hint
+
+
+class TestBlockedInnerSolve:
+    @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_blocks_are_bit_identical_to_slices_and_whole_solve(
+            self, q, warm, monkeypatch):
+        # two full blocks and a ragged tail
+        n = 40_000
+        log_v, u, hint = spread_roots_input(np.random.default_rng(7), n, q, warm)
+
+        def start(i, j):  # _roots writes its roots over the hint
+            return None if hint is None else hint[i:j].copy()
+
+        t, passes = _roots(log_v, u, q, start(0, n))
+        cuts = [0, _BLOCK, 2 * _BLOCK, n]
+        pieces = [_roots(log_v[i:j], u[i:j], q, start(i, j))
+                  for i, j in zip(cuts[:-1], cuts[1:])]
+        np.testing.assert_array_equal(t, np.concatenate([p[0] for p in pieces]))
+        assert passes == max(p[1] for p in pieces)
+        # the same roots and count as one solve over the whole vector
+        monkeypatch.setattr(prox_module, "_BLOCK", n)
+        whole, whole_passes = _roots(log_v, u, q, start(0, n))
+        np.testing.assert_array_equal(t, whole)
+        assert passes == whole_passes
+
+    @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
+    def test_groups_straddling_blocks_match_per_group(self, q):
+        # block edges at 16,384 and 32,768 fall inside the second and the
+        # fourth group; each group alone fits in one block
+        rng = np.random.default_rng(11)
+        sizes = [10_000, 12_000, 9_000, 15_000]
+        groups = [rng.standard_normal(k) * 10.0 ** rng.uniform(-2.0, 2.0)
+                  for k in sizes]
+        offsets = np.cumsum([0] + sizes)
+        assert offsets[1] < _BLOCK < offsets[2] and offsets[3] < 2 * _BLOCK < offsets[4]
+        lam = 0.5 * min(q_norm(g, dual_exponent(q)) for g in groups)
+        out = prox_grouped(GroupedVector(np.concatenate(groups), offsets),
+                           lam, q).values
+        for g, lo, hi in zip(groups, offsets[:-1], offsets[1:]):
+            alone, _ = prox_lq_general(g, lam, q)
+            assert np.abs(out[lo:hi] - alone).max() <= 1e-12 * np.abs(g).max()
 
 
 class TestCrossFormConsistency:
@@ -688,6 +758,33 @@ class TestOptimalityResidual:
     def test_zero_x_rejected(self):
         with pytest.raises(ValueError):
             optimality_residual(np.zeros(2), np.ones(2), 0.5, 2.0)
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.5, 3.0, 64.0])
+    def test_matches_masked_form(self, q):
+        # the same arithmetic as a form that applies the power only where
+        # x_i != 0, so the two agree exactly
+        def masked(x, v, lam, q):
+            a = np.abs(x)
+            pos = a > 0.0
+            powed = np.zeros_like(a)
+            powed[pos] = np.exp((q - 1.0) * np.log(a[pos])
+                                + (1.0 - q) * math.log(q_norm(x, q)))
+            defect = np.abs(x + lam * np.sign(x) * powed - v)
+            tiny = math.nextafter(0.0, 1.0)
+            at_tiny = tiny + lam * math.exp(
+                (q - 1.0) * (math.log(tiny) - math.log(q_norm(x, q))))
+            defect[~pos & (defect <= at_tiny)] = 0.0
+            return float(defect.max())
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(2, 200))
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+            x[rng.random(n) < 0.3] = 0.0
+            x[0] = 1.0
+            v = x + rng.standard_normal(n) * rng.choice([0.0, 1e-12, 1.0], n)
+            lam = rng.uniform(0.01, 2.0)
+            assert optimality_residual(x, v, lam, q) == masked(x, v, lam, q)
 
     def test_underflowed_zero_counts_as_satisfied(self):
         # near q = 1 the smaller coordinates' roots lie below the smallest
