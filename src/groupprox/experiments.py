@@ -13,8 +13,8 @@ import numpy as np
 
 from .grouped import dual_exponent, q_norm
 from .losses import Dataset, LossKind, row_group_offsets
-from .prox import ProjectionError, prox_lq_general
-from .solver import NumericalFailure, Problem, SolverConfig, lambda_max, solve
+from .prox import prox_lq_general
+from .solver import SolverConfig, _warm_path, lambda_max, solve
 
 __all__ = [
     "ExperimentConfig",
@@ -124,27 +124,22 @@ def run_path_experiment(cfg: ExperimentConfig, solver_cfg: SolverConfig = None,
     true_support = np.any(x_true != 0.0, axis=1)
 
     rows = []
-    w = None
-    for r in cfg.ratios:
-        lam = float(r) * lam_max
-        problem = Problem(data, LossKind.LEAST_SQUARES, offsets, lam, cfg.q)
-        t0 = time.perf_counter()
-        try:
-            res = solve(problem, solver_cfg, x0=w)
-        except (NumericalFailure, ProjectionError) as exc:
-            rows.append(MetricsRow(float(r), lam, math.nan, math.nan,
+    points = _warm_path(solve, data, LossKind.LEAST_SQUARES, offsets, cfg.q,
+                        [float(r) * lam_max for r in cfg.ratios], solver_cfg)
+    for r, (problem, res, seconds) in zip(cfg.ratios, points):
+        elapsed_ms = seconds * 1e3
+        if isinstance(res, Exception):
+            rows.append(MetricsRow(float(r), problem.lam, math.nan, math.nan,
                                    np.full(cfg.d, math.nan), math.nan, 0,
-                                   (time.perf_counter() - t0) * 1e3, str(exc)))
+                                   elapsed_ms, str(res)))
             continue
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        w = res.W
-        x_hat = problem.matrix(w)
+        x_hat = problem.matrix(res.W)
         row_norms = np.sqrt(np.square(x_hat).sum(axis=1))
         max_norm = float(row_norms.max())
         thr = threshold_ratio * max_norm if max_norm > 0 else 0.0
         rows.append(MetricsRow(
             ratio=float(r),
-            lam=lam,
+            lam=problem.lam,
             frobenius_error=float(np.linalg.norm(x_hat - x_true)),
             support_f1=support_f1(row_norms, true_support, thr),
             row_l2_norms=row_norms,

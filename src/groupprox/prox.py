@@ -12,18 +12,21 @@ u = log(c), because the bracket endpoints can span hundreds of orders of
 magnitude for large q, with Newton steps from the bracket's left end,
 safeguarded by bisection. Their slope comes from the inner roots at no
 extra pass: at a root, d log x_i/du = -(v_i - x_i)/(x_i + (q-1)(v_i - x_i)).
-Each inner root comes from Newton's method on a logarithm, started from an
-upper bound or from the previous step's roots moved along that tangent;
-for q < 2 it runs on z = c*x**(q-1), which turns the equation into the
-same convex form. Each group is solved scaled to unit max-magnitude: the
+Each inner root comes from Newton's method on log x, in which the equation
+is convex for every q > 1, started from an upper bound or from the
+previous step's roots moved along that tangent. For q < 2 one Newton step
+on x itself finishes the roots, since where x << v log x resolves only to
+about eps/(q-1). Each group is solved scaled to unit max-magnitude: the
 projection commutes with scaling (v, lam) -> (s*v, s*lam), which shifts u
 by (2-q)*log(s), so nothing in the solve overflows and the result is
-scale-equivariant up to rounding.
+scale-equivariant up to rounding. The roots leave the log domain only in
+the caller's units, so a root that a double holds does not underflow for
+being tiny beside max|v|.
 
 No loop has a cap or a sweep tolerance. A Newton coordinate stops once its
 step no longer shrinks, which it reaches at the rounding of the equation:
-over varied inputs, q from 1 + 1e-6 to 64, each inner solve took at most
-14 passes over the vector, and a projection takes one solve per outer step
+over varied inputs, q from 1 + 1e-6 to 101, each inner solve took at most
+16 passes over the vector, and a projection takes one solve per outer step
 plus one at the left end of the bracket. The outer Newton stops at a step
 of 1e-10 in u, which is scale-free, or of one float spacing at u (past
 |u| = 2**19, which large q reach), or where the error its quadratic
@@ -35,8 +38,8 @@ random groups (q from 1 + 1e-6 to 100, 2 to 60 entries) it took at most
 lam, so the kernels only see finite magnitudes.
 
 The per-coordinate work runs in contiguous blocks of _BLOCK coordinates:
-the inner Newton passes, per outer step the tangent start, log x and its
-slope, and the final roots of a finished group. A block's temporaries stay
+the inner Newton passes, per outer step the tangent start and the slope
+of log x, and the final roots of a finished group. A block's temporaries stay
 in cache and the allocator reuses them, where whole-vector temporaries of
 a long group would each be fresh pages. Each inner root follows its own
 iteration to its own stop, so the roots are bit-identical to a solve over
@@ -242,17 +245,18 @@ def _newton_step(t, log_v, a, e):
 
 
 def _newton_roots(log_v, a, e, hint=None):
-    """Roots t = log(w) of w + exp(a)*w**e = v, elementwise, for e >= 1.
+    """Roots t = log(w) of w + exp(a)*w**e = v, elementwise, for e > 0.
 
-    Newton runs on t: F(t) = logaddexp(t, a + e*t) - log(v) is convex and
-    increasing, so iterates from an upper bound of the root decrease
-    monotonically towards it, and in log space the iterate resolves no
-    finer than F can be evaluated. A coordinate stops at the first step
-    that would not move it down or is no shorter than its previous step:
-    steps shrink until they reach the rounding of F, where they stop
-    shrinking, change sign or vanish. A decreasing sequence of floats gets
-    there without a cap or a tolerance, and the loop ends when every
-    coordinate has stopped.
+    Newton runs on t: F(t) = logaddexp(t, a + e*t) - log(v) is a log-sum-exp
+    of two increasing affine functions of t, so it is convex and increasing
+    for every e > 0, and iterates from an upper bound of the root decrease
+    monotonically towards it; in log space the iterate resolves no finer
+    than F can be evaluated. A coordinate stops at the first step that
+    would not move it down or is no shorter than its previous step: steps
+    shrink until they reach the rounding of F, where they stop shrinking,
+    change sign or vanish. A decreasing sequence of floats gets there
+    without a cap or a tolerance, and the loop ends when every coordinate
+    has stopped.
 
     ``a`` is per coordinate. The start is the cold bound
     min(log v, (log v - a)/e), an upper bound of the root, or ``hint``
@@ -262,29 +266,13 @@ def _newton_roots(log_v, a, e, hint=None):
     ``hint`` when it is given. Returns (t, passes); ``passes`` counts the
     evaluations of F, each a pass over the vector.
 
-    The solve runs in contiguous blocks of _BLOCK coordinates, each to its
-    own stop, so that a block's temporaries stay in cache and are reused
-    by the allocator rather than mapped afresh on every pass. The roots are
-    bit-identical to one solve over the whole vector: every coordinate
-    follows its own iteration and stops on its own test, and a stopped
-    coordinate's step is zeroed and stays zero, whatever the others do.
-    For the same reason the whole-vector solve runs until its slowest
-    coordinate stops, so its pass count is the largest over blocks, which
-    is what ``passes`` reports.
+    Every coordinate follows its own iteration and stops on its own test,
+    and a stopped coordinate's step is zeroed and stays zero, so a solve
+    over any slice gives the same roots bit for bit, and a solve over the
+    whole vector takes as many passes as its slowest slice.
     """
     # a start at +inf is the cold bound
     t = np.full_like(log_v, np.inf) if hint is None else hint
-    if log_v.size <= _BLOCK:
-        return t, _newton_block(log_v, a, e, t)
-    passes = 0
-    for i in range(0, log_v.size, _BLOCK):
-        b = slice(i, i + _BLOCK)
-        passes = max(passes, _newton_block(log_v[b], a[b], e, t[b]))
-    return t, passes
-
-
-def _newton_block(log_v, a, e, t):
-    """_newton_roots on one block, in place in the start ``t``; the passes."""
     cold = np.minimum(log_v, (log_v - a) / e)
     np.minimum(t, cold, out=t)
     # a start at -inf (a zero hint) steps to nan, which fmin replaces
@@ -299,7 +287,7 @@ def _newton_block(log_v, a, e, t):
         move = t - d < t
         move &= d < last
         if not np.count_nonzero(move):
-            return passes
+            return t, passes
         # zero the steps of stopped coordinates, so that they stay stopped
         # (d is finite: after the first step every iterate is above the root)
         d *= move
@@ -307,59 +295,28 @@ def _newton_block(log_v, a, e, t):
         last = d
 
 
-def _roots(log_v, u, q, hint=None):
-    """log of the Newton variable for the inner roots of x + exp(u)*x**(q-1) = v.
-
-    For q >= 2 Newton runs on log x. For q < 2 the left side is concave in
-    x, so Newton runs on log z, z = c*x**(q-1), instead; z solves
-    z + c'*z**(1/(q-1)) = v with log c' = -u/(q-1), the same convex form
-    (_log_x recovers x). ``hint`` is a start for the Newton variable, used
-    where it is below the cold bound. Returns (t, passes).
-    """
-    if q >= 2.0:
-        return _newton_roots(log_v, u, q - 1.0, hint)
-    e = 1.0 / (q - 1.0)
-    return _newton_roots(log_v, -e * u, e, hint)
-
-
-def _log_x(t, log_v, u, q, out=None):
-    """log x from the Newton variable t of _roots at u.
-
-    For q >= 2 that is t itself. For q < 2 it is written into ``out`` if
-    given, and t = log z: where z <= v/2, x = v - z is exact to rounding;
-    elsewhere x is the power term (z/c)**(1/(q-1)) of the z-equation, which
-    keeps its relative accuracy as x vanishes.
-    """
-    if q >= 2.0:
-        return t
-    log_x = np.subtract(t, log_v, out=out)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.exp(log_x, out=log_x)
-        np.negative(log_x, out=log_x)
-        np.log1p(log_x, out=log_x)
-    log_x += log_v                   # log(v - z)
-    power = t - u
-    power /= q - 1.0
-    np.copyto(log_x, power, where=t > log_v - math.log(2.0))
-    return log_x
-
-
 def _newton_polish(x, v, log_c, q):
     """One Newton step on h(x) = x + c*x**(q-1) - v, for 1 < q < 2.
 
+    The inner solve runs on log x, where F' = (x + (q-1)*p)/(x + p) with
+    p = c*x**(q-1). Where x << v, p is near v and F' near q - 1, so log x,
+    and x relatively, resolve only to about eps/(q-1): at q = 1 + 1e-6 the
+    optimality residual reads about 1e-9 of max|v| without this step.
+
     h'(x) = 1 + c*(q-1)*x**(q-2) >= 1 on (0, v), so the step from a root
-    accurate to a few digits squares its relative error. The step is formed
-    from a = c*x**(q-2) or from 1/a, whichever is at most one, so it stays
-    finite where a overflows. At x = 0, a is +inf, h' is infinite and the
-    step is 0.
+    accurate to a few digits squares its relative error. The step is
+    (x + p - v)/(1 + (q-1)*a) with p = c*x**(q-1) and a = c*x**(q-2), each
+    formed from logs: p is near v - x at a root, so it does not overflow,
+    and a is +inf at x = 0, where h' is infinite and the step is 0. Where a
+    overflows (x below about 1e-308 of v) the step is 0 too, and x keeps
+    the accuracy of log x.
     """
     e = q - 1.0
-    with np.errstate(divide="ignore"):
-        log_a = log_c + (e - 1.0) * np.log(x)
-    r = np.exp(-np.abs(log_a))
-    # h/h' = (x - v + x*a)/(1 + e*a), divided through by a where a > 1
-    step = np.where(log_a > 0.0, ((x - v) * r + x) / (r + e),
-                    (x - v + x * r) / (1.0 + e * r))
+    with np.errstate(divide="ignore", over="ignore"):
+        log_x = np.log(x)
+        p = np.exp(log_c + e * log_x)
+        a = np.exp(log_c + (e - 1.0) * log_x)
+    step = (x + p - v) / (1.0 + e * a)
     return np.clip(x - step, 0.0, v)
 
 
@@ -371,7 +328,7 @@ def _dlog_x(log_x, u, q, out=None):
     Differentiating the equation gives -r/(1 + (q-1)*r), r = (v - x)/x,
     and at a root r = c*x**(q-2), which log x gives without cancellation.
     Written as -1/(1/r + q - 1), it lies in [-1/(q-1), 0] and stays
-    finite where 1/r over- or underflows (x = 0 for q < 2 included).
+    finite where 1/r over- or underflows.
     """
     d = np.multiply(log_x, 2.0 - q, out=out)
     d -= u
@@ -429,7 +386,7 @@ def phi(c, v_abs, lam, q):
     log_s = math.log(v_abs.max())
     log_v = np.log(v_abs) - log_s
     u = np.full(v_abs.size, math.log(c) + (q - 2.0) * log_s)
-    log_x = _log_x(_roots(log_v, u, q)[0], log_v, u, q)
+    log_x = _newton_roots(log_v, u, q - 1.0)[0]
     one = np.array([0], dtype=np.intp)
     log_psi = _log_psi_groups(log_x, one, np.array([v_abs.size]), q)[0]
     return lam * math.exp(float(log_psi) + (1.0 - q) * log_s) - c
@@ -459,8 +416,10 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     of length ``prev``, the quadratic-convergence estimate
     |step|**3/prev**2 of the Newton point's error is below the float
     spacing at u. Its root is then the Newton point clipped to the
-    bracket, and x the last roots moved to it to second order in u.
-    Returns (x, u_star, outer_iters, inner_passes) in the caller's units.
+    bracket, and x the last roots moved to it to second order in u. The
+    roots leave the log domain in units in which they are doubles, so that
+    none that the caller's units hold underflows. Returns (x, u_star,
+    outer_iters, inner_passes) in the caller's units.
     """
     log_lam = math.log(lam) - log_scale
     log_dual = np.log(dual)
@@ -471,36 +430,33 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
         np.log(dual - lam) - log_dual, math.log(lam) - log_dual, q)
     lo, hi = np.sort(log_c, axis=0)
     u = lo.copy()
-    # log x (for q < 2 only: for q >= 2 it is the Newton variable), the
-    # Newton variable t and d log x/du, rewritten in place at every step;
-    # t = inf starts the first solve cold
-    coords = np.empty((3 if q < 2.0 else 2, log_v.size))
-    log_x, t, dlog_x = coords[0], coords[-2], coords[-1]
-    t.fill(np.inf)
+    # log x and d log x/du, rewritten in place at every step; log x = inf
+    # starts the first solve cold
+    coords = np.empty((2, log_v.size))
+    log_x, dlog_x = coords
+    log_x.fill(np.inf)
     passes = 0
 
     def at(trial, warm=True):
-        """Roots, log x and d log x/du at ``trial``; G and -dG/du there.
+        """Roots log x and d log x/du at ``trial``; G and -dG/du there.
 
         A warm inner solve starts from the roots at u moved along their
-        tangent: d log x/du for q >= 2, and for the z-variable of q < 2,
-        d log z/du = 1 + (q-1)*d log x/du. The coordinate work runs block
-        by block, as _newton_roots does, so no temporary is a whole vector.
+        tangent d log x/du. The coordinate work runs in blocks of _BLOCK
+        coordinates, so no temporary is a whole vector; each block is
+        solved to its own stop, which gives the roots and the pass count of
+        one solve over the whole vector (_newton_roots).
         """
         nonlocal passes
         move, most = trial - u, 0
         for i in range(0, log_v.size, _BLOCK):
             b = slice(i, i + _BLOCK)
-            gb, tb, lvb, hint = gid[b], t[b], log_v[b], dlog_x[b]
+            gb, tb, hint = gid[b], log_x[b], dlog_x[b]
             ub = trial[gb]
             if warm:
-                if q < 2.0:
-                    hint *= q - 1.0
-                    hint += 1.0
                 hint *= move[gb]
                 tb += hint
-            most = max(most, _roots(lvb, ub, q, tb)[1])
-            _dlog_x(_log_x(tb, lvb, ub, q, out=log_x[b]), ub, q, out=hint)
+            most = max(most, _newton_roots(log_v[b], ub, q - 1.0, tb)[1])
+            _dlog_x(tb, ub, q, out=hint)
         passes += most
         log_psi, dlog_psi = _log_psi_groups(log_x, starts, sizes, q, dlog_x)
         return log_lam + log_psi - trial, 1.0 - dlog_psi
@@ -548,12 +504,17 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
                 a, d = dlog_x[f], (uf - u)[gf]
                 lx = log_x[f] + d * (a + 0.5 * d * _d2log_x(a, q))
                 if q < 2.0:
-                    # below half of v, x is the power term of the
-                    # z-equation, which loses digits as q nears 1; one
-                    # Newton step on x itself restores them
-                    v = np.exp(log_v[f])
-                    x = _newton_polish(np.exp(lx, out=lx), v, uf[gf], q)
-                    x_out[live_c[f]] = x * np.exp(log_scale[gf])
+                    # where x << v, log x resolves only to about
+                    # eps/(q-1); one Newton step on x itself restores the
+                    # digits. It runs in units of sqrt(x*v), clipped at
+                    # e**-700 of the group's scale, in which v is at most
+                    # e**700 and x a double wherever x/v is above about
+                    # e**-1400, where the group's scale may not hold x
+                    lv = log_v[f]
+                    mid = np.maximum(0.5 * (lx + lv), -700.0)
+                    x = _newton_polish(np.exp(lx - mid), np.exp(lv - mid),
+                                       uf[gf] + (q - 2.0) * mid, q)
+                    x_out[live_c[f]] = x * (np.exp(mid) * np.exp(log_scale)[gf])
                 else:
                     lx += log_scale[gf]
                     x_out[live_c[f]] = np.exp(lx)
@@ -570,7 +531,7 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
             # would interleave them
             coords, log_v, live_c = (a.compress(keep_c, axis=-1)
                                      for a in (coords, log_v, live_c))
-            log_x, t, dlog_x = coords[0], coords[-2], coords[-1]
+            log_x, dlog_x = coords
             starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
             gid = np.repeat(np.arange(sizes.size), sizes)
         outer += 1

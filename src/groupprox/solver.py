@@ -21,6 +21,7 @@ accepted.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .grouped import GroupedVector, _partition, dual_exponent, group_norms, mixed_norm
 from .losses import Dataset, LossKind, _loss_at_product, loss_gradient, loss_value
-from .prox import prox_grouped
+from .prox import ProjectionError, prox_grouped
 
 __all__ = [
     "Problem",
@@ -255,6 +256,29 @@ def lambda_max(data: Dataset, kind: LossKind, offsets, q):
     return float(group_norms(g, offsets, dual_exponent(q)).max())
 
 
+def _warm_path(solver, data: Dataset, kind: LossKind, offsets, q, lams,
+               cfg: SolverConfig = None):
+    """Solve at each lam in turn, each solve starting from the last solution.
+
+    ``solver`` is called as ``solve`` is; callers pass the one they hold, so
+    that a test can substitute its own. Yields (problem, outcome, seconds)
+    per point: ``outcome`` is the SolverResult, or the NumericalFailure or
+    ProjectionError that ended the solve, after which the next point starts
+    from the last solution found.
+    """
+    w = None
+    for lam in lams:
+        problem = Problem(data, kind, offsets, lam, q)
+        t0 = time.perf_counter()
+        try:
+            outcome = solver(problem, cfg, x0=w)
+        except (NumericalFailure, ProjectionError) as exc:
+            outcome = exc
+        else:
+            w = outcome.W
+        yield problem, outcome, time.perf_counter() - t0
+
+
 def reg_path(data: Dataset, kind: LossKind, offsets, q, ratios,
              cfg: SolverConfig = None):
     """Warm-started solves at lambda = ratio * lambda_max, decreasing ratios."""
@@ -263,13 +287,11 @@ def reg_path(data: Dataset, kind: LossKind, offsets, q, ratios,
         raise ValueError("ratios must be strictly decreasing within (0, 1]")
     lam_max = lambda_max(data, kind, offsets, q)
     results = []
-    w = None
-    for j, r in enumerate(ratios):
-        problem = Problem(data, kind, offsets, r * lam_max, q)
-        try:
-            res = solve(problem, cfg, x0=w)
-        except NumericalFailure as exc:
-            raise NumericalFailure(f"path point {j}: {exc}", exc.iteration) from exc
+    points = _warm_path(solve, data, kind, offsets, q, ratios * lam_max, cfg)
+    for j, (_, res, _) in enumerate(points):
+        if isinstance(res, NumericalFailure):
+            raise NumericalFailure(f"path point {j}: {res}", res.iteration) from res
+        if isinstance(res, ProjectionError):
+            raise res
         results.append(res)
-        w = res.W
     return results

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupprox import l1_ball_threshold
-from groupprox.prox import _log_x, _newton_polish, _roots
+from groupprox.prox import _newton_polish, _newton_roots
 
 
 def h_residual(x, v, c, q):
@@ -15,15 +15,14 @@ def h_residual(x, v, c, q):
 
 
 def inner_root(v, c, q, hint=None):
-    """(root in (0, v) of h, Newton variable, passes), as the general-q
-    kernel computes them: Newton on log x for q >= 2 and on log z,
-    z = c*x**(q-1), for q < 2, from ``hint`` on x or z where that is
-    smaller than the cold upper bound."""
+    """(root in (0, v) of h, passes), as the general-q kernel computes them:
+    Newton on log x, from ``hint`` where that is smaller than the cold
+    upper bound."""
     log_v, u = np.log(np.array([v])), np.array([math.log(c)])
     with np.errstate(divide="ignore"):
         log_hint = None if hint is None else np.log(np.array([hint]))
-    t, passes = _roots(log_v, u, q, log_hint)
-    return math.exp(_log_x(t, log_v, u, q)[0]), math.exp(t[0]), passes
+    t, passes = _newton_roots(log_v, u, q - 1.0, log_hint)
+    return math.exp(t[0]), passes
 
 
 class TestInnerRoots:
@@ -53,11 +52,11 @@ class TestInnerRoots:
         assert all(b < a for a, b in zip(roots, roots[1:]))
 
     def test_hint_agrees_with_cold_start(self):
-        # a bound just above the root (on x for q >= 2, on z for q < 2)
-        # starts Newton closer than the cold bound and ends at the same root
+        # a bound just above the root starts Newton closer than the cold
+        # bound and ends at the same root
         for q in (1.5, 2.5):
-            cold, w, cold_passes = inner_root(2.0, 1.5, q)
-            warm, _, warm_passes = inner_root(2.0, 1.5, q, hint=w * (1.0 + 1e-4))
+            cold, cold_passes = inner_root(2.0, 1.5, q)
+            warm, warm_passes = inner_root(2.0, 1.5, q, hint=cold * (1.0 + 1e-4))
             assert warm == pytest.approx(cold, abs=1e-12)
             assert warm_passes <= cold_passes
 
@@ -65,11 +64,10 @@ class TestInnerRoots:
         # a hint below the root is no upper bound: the first Newton step
         # leaves it for a point above the root, and the answer is unchanged
         for q in (1.5, 2.5):
-            cold, w, _ = inner_root(2.0, 1.5, q)
+            cold, _ = inner_root(2.0, 1.5, q)
             for below in (0.5, 1e-300, 0.0):
-                warm, w_warm, _ = inner_root(2.0, 1.5, q, hint=below * w)
+                warm, _ = inner_root(2.0, 1.5, q, hint=below * cold)
                 assert warm == pytest.approx(cold, abs=1e-12)
-                assert w_warm == pytest.approx(w, abs=1e-12)
 
     @given(st.floats(0.1, 10.0), st.floats(0.01, 50.0), st.floats(1.05, 8.0))
     @settings(max_examples=100, deadline=None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import groupprox.grouped
+import groupprox.prox
 import groupprox.solver
 from groupprox import (
     Dataset,
@@ -297,6 +298,36 @@ class TestRegPath:
         f_cold = prob_last.objective(cold.W)
         assert abs(f_warm - f_cold) <= 1e-6 * max(1.0, abs(f_cold))
         assert warm.iterations < cold.iterations
+
+    def test_numerical_failure_names_the_point(self, monkeypatch):
+        p = small_problem()
+        real, starts = groupprox.solver.solve, []
+
+        def fail_second(problem, cfg, x0=None):
+            starts.append(x0)
+            if len(starts) == 2:
+                raise groupprox.solver.NumericalFailure("line search diverged", 7)
+            return real(problem, cfg, x0=x0)
+
+        monkeypatch.setattr(groupprox.solver, "solve", fail_second)
+        with pytest.raises(groupprox.solver.NumericalFailure,
+                           match=r"path point 1: line search diverged") as err:
+            reg_path(p.data, p.kind, p.offsets, p.q, [1.0, 0.5, 0.25])
+        assert err.value.iteration == 7
+        # the second point started from the first one's solution, and the
+        # path stopped at the failure
+        assert starts[0] is None and starts[1] is not None and len(starts) == 2
+
+    def test_projection_error_propagates(self, monkeypatch):
+        # a c bracket shifted far above the root fails the endpoint-sign
+        # check of the q = 3 projection at the second point
+        real = groupprox.prox._log_c_candidates
+        monkeypatch.setattr(groupprox.prox, "_log_c_candidates",
+                            lambda *args: real(*args) + 50.0)
+        p = small_problem(q=3.0)
+        with pytest.raises(groupprox.prox.ProjectionError,
+                           match="phi endpoint signs inconsistent"):
+            reg_path(p.data, p.kind, p.offsets, p.q, [1.0, 0.5])
 
 
 def reference_solve(p, max_iter, rel_tol):
