@@ -2,9 +2,10 @@
 
 The projection of v minimizes 0.5*||x - v||^2 + lam*||x||_q. This script
 walks through the closed forms (q = 1, 2, inf), the zero-solution boundary
-at lam = ||v||_qbar, the nested zero-finding used for general q (regula
-falsi steps on log c outside, Newton's method for the coordinates inside),
-and the group-wise dispatcher that applies all of this per group.
+at lam = ||v||_qbar, the nested zero-finding used for general q (Newton
+steps on log c outside, safeguarded by bisection, and Newton's method for
+the coordinates inside), and the group-wise dispatcher that applies all of
+this per group.
 
 Run:  python3 demos/projection_tour.py
 """

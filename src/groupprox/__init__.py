@@ -38,6 +38,7 @@ from .prox import (
     ProxDiagnostics,
     c_interval,
     is_zero_solution,
+    l1_ball_threshold,
     optimality_residual,
     phi,
     prox_grouped,
@@ -47,7 +48,6 @@ from .prox import (
     prox_lq_general,
     prox_objective,
 )
-from .rootfind import l1_ball_threshold
 from .solver import (
     NumericalFailure,
     Problem,

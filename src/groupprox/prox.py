@@ -55,6 +55,13 @@ of order lam: the equation weighs coordinates by (|x_i|/||x||_q)**(q-1),
 which the differences of order 1/q between the two answers move by factors
 of order one, and which even a one-float change in x moves by exp(q*eps).
 
+At q = inf the projection clips |v| at the exact l1-ball threshold t, the
+root of sum_i max(|v_i| - t, 0) = lam: a sort and a scan, with no
+tolerance and no sweep count. Groups are batched by power-of-two size
+class: each class is one zero-padded matrix, one row per group, sorted and
+summed along its rows. Padding at most doubles the entries and there are at
+most log2(max size) + 1 classes, so the cost stays O(n log n) for any layout.
+
 Each form is one kernel batched over all groups of a flat vector, given as
 (values, offsets); the single-vector projections are its one-group case.
 """
@@ -67,14 +74,12 @@ import numpy as np
 
 from .grouped import (GroupedVector, _finite, _group_norms, dual_exponent,
                       group_norms, q_norm)
-from .rootfind import _l1_ball_thresholds
-# kept importable from here: perfbench's tracer hooks it by this module's name
-from .rootfind import l1_ball_threshold  # noqa: F401
 
 __all__ = [
     "ProxDiagnostics",
     "ProjectionError",
     "is_zero_solution",
+    "l1_ball_threshold",
     "prox_l1",
     "prox_l2",
     "prox_linf",
@@ -86,11 +91,6 @@ __all__ = [
     "prox_objective",
 ]
 
-# Relative closeness of lam to ||v||_qbar below which the projection is
-# snapped to zero: epsilon underflows and the c bounds blow up there, while
-# the true solution is within tolerance of zero by continuity.
-_BOUNDARY_RTOL = 1e-12
-
 # Outer tolerance in u = log(c), on the Newton step and the bracket width.
 _OUTER_TOL = 1e-10
 
@@ -101,12 +101,23 @@ _BLOCK = 16384
 
 _EPS = np.finfo(float).eps
 
+# Relative closeness of lam to ||v||_qbar below which the projection is
+# snapped to zero: epsilon underflows and the c bounds blow up there, while
+# the true solution is within tolerance of zero by continuity.
+_BOUNDARY_RTOL = 1e-12
+
+
+def _nonzero(dual, lam):
+    """The zero rule of every q > 1: whether groups of dual norm ``dual``
+    project to a nonzero vector. lam = inf projects every group to zero."""
+    return dual - lam > _BOUNDARY_RTOL * dual
+
 
 class ProjectionError(RuntimeError):
     """Internal consistency failure of the nested zero-finding."""
 
     def __init__(self, msg, *, epsilon=None, c_low=None, c_high=None,
-                 phi_low=None, phi_high=None, group=None):
+                 phi_low=None, group=None):
         if group is not None:
             msg = f"group {group}: {msg}"
         super().__init__(msg)
@@ -114,7 +125,6 @@ class ProjectionError(RuntimeError):
         self.c_low = c_low
         self.c_high = c_high
         self.phi_low = phi_low
-        self.phi_high = phi_high
         self.group = group
 
 
@@ -128,10 +138,12 @@ class ProxDiagnostics:
 
 
 def is_zero_solution(v, lam, q):
-    """True iff the projection of v is exactly zero, i.e. lam >= ||v||_qbar."""
+    """True iff the projection of v is exactly zero: lam >= max|v| at q = 1,
+    where the soft threshold snaps nothing, else the kernels' _nonzero."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    return lam >= q_norm(v, dual_exponent(q))
+    dual = q_norm(v, dual_exponent(q))
+    return lam >= dual if q == 1.0 else not _nonzero(dual, lam)
 
 
 def _check_lam(lam):
@@ -172,8 +184,7 @@ def _prox_l2_groups(vals, offsets, lam):
     """
     norms = group_norms(vals, offsets, 2.0)
     factor = np.maximum(0.0, 1.0 - lam / np.where(norms > 0.0, norms, 1.0))
-    # snap groups within rounding error of the boundary to exact zero
-    factor[norms - lam <= _BOUNDARY_RTOL * norms] = 0.0
+    factor *= _nonzero(norms, lam)
     return vals * np.repeat(factor, np.diff(offsets)), factor * norms
 
 
@@ -187,11 +198,62 @@ def _prox_linf_groups(vals, offsets, lam):
     a = np.abs(vals)
     sizes = np.diff(offsets)
     l1 = np.add.reduceat(a, offsets[:-1])
-    outside = l1 - lam > _BOUNDARY_RTOL * l1
+    outside = _nonzero(l1, lam)
     t = np.zeros(sizes.size)
     t[outside] = _l1_ball_thresholds(a[np.repeat(outside, sizes)],
                                      sizes[outside], lam)
     return np.sign(vals) * np.minimum(a, np.repeat(t, sizes)), t
+
+
+def _l1_ball_thresholds(a, sizes, lam):
+    """Per-group root t_g of sum_{i in g} max(a_i - t, 0) = lam, for a >= 0.
+
+    The groups are contiguous runs of ``sizes`` entries of ``a``, and each
+    must lie outside the ball: lam below its l1 norm. With top_j the sum of
+    a group's j largest entries, t = (top_j - lam)/j on the segment where
+    those j are active, and that j maximizes (top_j - lam)/j, since the
+    ratio rises exactly while the next entry exceeds it. So no iterative
+    tolerance is involved.
+    """
+    t = np.empty(sizes.size)
+    # class k holds the sizes in [2**(k-1), 2**k)
+    size_class = np.frexp(sizes)[1]
+    entry_class = np.repeat(size_class, sizes)
+    for k in np.flatnonzero(np.bincount(size_class)):
+        rows = size_class == k
+        n = sizes[rows]
+        # negated magnitudes zero-padded to the class's largest size, so an
+        # ascending sort puts each group's largest first; a padded zero
+        # lowers the ratio, since lam is below the group's l1 norm
+        j = np.arange(1, n.max() + 1)
+        u = np.zeros((n.size, j.size))
+        u[j <= n[:, None]] = a[entry_class == k]
+        np.negative(u, out=u)
+        u.sort(axis=1)
+        # the row cumsum is -top_j, so the ratio is -(cumsum + lam)/j
+        ratio = np.cumsum(u, axis=1, out=u)
+        ratio += lam
+        ratio /= j
+        # numpy reduces a short contiguous axis one row at a time; the
+        # leading axis of the transposed copy reduces across rows at once
+        t[rows] = -np.ascontiguousarray(ratio.T).min(axis=0)
+    return t
+
+
+def l1_ball_threshold(v_abs, lam):
+    """Exact root t* of sum_i max(v_abs_i - t, 0) = lam.
+
+    Requires 0 < lam < sum(v_abs).
+    """
+    v_abs = np.asarray(v_abs, dtype=float)
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
+    total = float(v_abs.sum())
+    if lam >= total:
+        raise ValueError(
+            f"lambda must be smaller than the l1 norm ({lam} >= {total})"
+        )
+    return float(_l1_ball_thresholds(v_abs, np.array([v_abs.size]), lam)[0])
 
 
 def _log_c_candidates(log_v, log_eps, log_keep, q):
@@ -413,9 +475,9 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
     every other step evaluates G strictly inside and shrinks the bracket.
     A group leaves the working set once its Newton step or its bracket is
     at most _OUTER_TOL or the float spacing at u, or, after a Newton step
-    of length ``prev``, the quadratic-convergence estimate
-    |step|**3/prev**2 of the Newton point's error is below the float
-    spacing at u. Its root is then the Newton point clipped to the
+    of length ``prev`` other than the first, the quadratic-convergence
+    estimate |step|**3/prev**2 of the Newton point's error is below the
+    float spacing at u. Its root is then the Newton point clipped to the
     bracket, and x the last roots moved to it to second order in u. The
     roots leave the log domain in units in which they are doubles, so that
     none that the caller's units hold underflows. Returns (x, u_star,
@@ -542,7 +604,8 @@ def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
         trial = np.where(inside, newton,
                          np.where(open_hi & (newton >= hi), hi,
                                   lo + 0.5 * (hi - lo)))
-        prev = length * inside
+        # a first step, from the far left end, shows no quadratic convergence
+        prev = length * (inside & (outer > 1))
         g, fall = at(trial)
         u = trial
         left = g >= 0.0
@@ -568,7 +631,7 @@ def _prox_lq_groups(vals, offsets, lam, q):
     a = np.abs(vals)
     top = np.maximum.reduceat(a, offsets[:-1])
     dual = _group_norms(a, top, offsets, dual_exponent(q))
-    active = dual - lam > _BOUNDARY_RTOL * dual
+    active = _nonzero(dual, lam)
     eps = np.zeros_like(dual)
     eps[active] = (dual[active] - lam) / dual[active]
     nonzero = vals != 0.0
@@ -681,6 +744,7 @@ def optimality_residual(x, v, lam, q):
         raise ValueError("residual undefined at x = 0; use is_zero_solution")
     # built in one buffer; the power term is exp(-inf) = 0 where x_i = 0
     defect = np.abs(x)
+    sub = np.flatnonzero(defect < np.finfo(float).tiny)  # see below
     with np.errstate(divide="ignore"):
         np.log(defect, out=defect)
     defect *= q - 1.0
@@ -691,13 +755,15 @@ def optimality_residual(x, v, lam, q):
     defect += x
     defect -= v
     np.abs(defect, out=defect)
-    # a root below the smallest subnormal rounds to an exact zero: count
-    # x_i = 0 (defect |v_i|) as satisfied when the defect changes sign
-    # between 0 and the next float toward v_i, where |x|**(q-1) is still
-    # near 1 for q near 1
-    tiny = math.nextafter(0.0, 1.0)
-    at_tiny = tiny + lam * math.exp((q - 1.0) * (math.log(tiny) - math.log(nrm)))
-    defect[(x == 0.0) & (defect <= at_tiny)] = 0.0
+    # a root below the smallest normal keeps few significant bits, or none
+    # where it rounds to zero, and near q = 1 one subnormal spacing moves
+    # |x|**(q-1) by up to about q - 1 of itself: count such x_i as satisfied
+    # (``sub``) when the defect changes sign between its two float neighbours
+    ends = np.nextafter(x[sub], [[-np.inf], [np.inf]])
+    with np.errstate(divide="ignore"):
+        power = np.exp((q - 1.0) * (np.log(np.abs(ends)) - math.log(nrm)))
+    ends += lam * np.copysign(power, ends) - v[sub]
+    defect[sub[(ends[0] <= 0.0) & (ends[1] >= 0.0)]] = 0.0
     return float(defect.max())
 
 

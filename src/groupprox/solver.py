@@ -23,7 +23,7 @@ accepted.
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -115,13 +115,12 @@ class SolverConfig:
     L0: float = 1.0
     max_iter: int = 1000
     rel_tol: float = 1e-10
-    growth: float = 2.0
+    # the line search's factor on L per rejected trial; a constant, not a field
+    growth: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if not (self.L0 > 0 and self.max_iter >= 1 and self.rel_tol > 0):
             raise ValueError("L0, max_iter and rel_tol must be positive")
-        if not self.growth > 1:
-            raise ValueError("growth must exceed 1")
 
 
 @dataclass

@@ -82,6 +82,16 @@ class TestIsZeroSolution:
         with pytest.raises(ValueError):
             is_zero_solution(np.ones(2), 0.0, 2.0)
 
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+    @pytest.mark.parametrize("ratio", [1.0, 1.0 - 1e-13, 1.0 - 1e-9, 0.999])
+    def test_agrees_with_the_kernels(self, q, ratio):
+        # at q > 1 a lam within _BOUNDARY_RTOL below the dual norm projects
+        # to zero; the soft threshold (q = 1) snaps nothing
+        for v in (np.array([3.0, 4.0]), np.random.default_rng(0).standard_normal(7)):
+            lam = ratio * q_norm(v, dual_exponent(q))
+            x = prox_grouped(GroupedVector(v, [0, v.size]), lam, q).values
+            assert is_zero_solution(v, lam, q) == (not x.any())
+
 
 class TestClosedForms:
     def test_soft_threshold(self):
@@ -456,6 +466,16 @@ class TestNewtonOuterStep:
             assert diag.outer_iters <= 5
             assert diag.inner_iters_total <= 32
 
+    def test_long_first_step_does_not_stop_the_next(self):
+        # the first step from the left end covers about 718 in u and the
+        # second 4.5e-4; read as quadratic convergence, they would stop the
+        # loop with c* 6e-11 short of its root
+        v = np.array([1.0, 0.1, 1e-312])
+        q = 1.001
+        x, diag = prox_lq_general(v, 0.3 * q_norm(v, dual_exponent(q)), q)
+        assert x[0] == pytest.approx(0.7, rel=1e-14)
+        assert diag.residual <= 1e-14
+
 
 def spread_roots_input(rng, n, q, warm):
     """log v, u and a hint for _newton_roots on n coordinates whose
@@ -804,6 +824,22 @@ class TestOptimalityResidual:
         assert np.any(x == 0.0)
         assert diag.residual <= 1e-12
 
+    @pytest.mark.parametrize("ratio", [0.51, 0.52, 0.53, 0.54])
+    def test_subnormal_root_counts_as_satisfied(self, ratio):
+        # the root of -0.2204 is a subnormal of a few bits, and one spacing
+        # moves |x|**(q-1) by up to about 1e-2 of itself
+        v = np.array([1000.0, -0.2204])
+        q = 1.0104
+        lam = ratio * q_norm(v, dual_exponent(q))
+        x, diag = prox_lq_general(v, lam, q)
+        assert 0.0 < -x[1] < np.finfo(float).tiny
+        assert diag.residual <= 1e-12 * 1000.0
+        # a root off by more than a spacing, of the wrong sign or zero is not
+        for wrong in (3.0 * x[1], -x[1], 0.0):
+            y = x.copy()
+            y[1] = wrong
+            assert optimality_residual(y, v, lam, q) >= 1e-3
+
     def test_wrong_zero_reports_its_defect(self):
         # at q = 3 the root of the first coordinate is far from zero
         v = np.array([1.0, 2.0])
@@ -817,7 +853,7 @@ class TestOptimalityResidual:
 class TestProjectionErrorPayload:
     def test_fields_present(self):
         err = ProjectionError("boom", epsilon=0.5, c_low=1.0, c_high=2.0,
-                              phi_low=-1.0, phi_high=1.0, group=3)
+                              phi_low=-1.0, group=3)
         assert err.epsilon == 0.5
         assert err.c_low == 1.0
         assert err.c_high == 2.0

@@ -96,6 +96,9 @@ class TestNewtonPolish:
 
 
 class TestL1BallThreshold:
+    def test_defined_beside_the_q_inf_kernel(self):
+        assert l1_ball_threshold.__module__ == "groupprox.prox"
+
     def test_two_entry_example(self):
         # h(1) = (3-1) + (1-1) - 2 = 0
         assert l1_ball_threshold(np.array([3.0, 1.0]), 2.0) == pytest.approx(1.0)
