@@ -2,10 +2,10 @@
 
 The projection of v minimizes 0.5*||x - v||^2 + lam*||x||_q. This script
 walks through the closed forms (q = 1, 2, inf), the zero-solution boundary
-at lam = ||v||_qbar, the nested zero-finding used for general q (Newton
-steps on log c outside, safeguarded by bisection, and Newton's method for
-the coordinates inside), and the group-wise dispatcher that applies all of
-this per group.
+at lam = ||v||_qbar, the joint Newton iteration used for general q (on
+log c and the coordinates' logs together, safeguarded by a bracket of
+log c, exact solves for the coordinates and bisection), and the group-wise
+dispatcher that applies all of this per group.
 
 Run:  python3 demos/projection_tour.py
 """
@@ -47,14 +47,14 @@ def main():
         print(f"    lambda = 0.999*dual  -> zero? {is_zero_solution(v, 0.999 * dual, q)}")
     print()
 
-    print("general q by nested zero-finding")
+    print("general q by a joint Newton iteration")
     for q in (1.5, 3.0, 5.0):
         x, diag = prox_lq_general(v, lam, q)
         res = optimality_residual(x, v, lam, q)
         print(f"  q={q}: x = {np.round(x, 6)}")
         print(
-            f"    c* = {diag.c_star:.6f}, outer steps = {diag.outer_iters}, "
-            f"inner Newton passes = {diag.inner_iters_total}, "
+            f"    c* = {diag.c_star:.6f}, Newton steps = {diag.outer_iters}, "
+            f"passes over x = {diag.inner_iters_total}, "
             f"residual = {res:.2e}"
         )
     print()

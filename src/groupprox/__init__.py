@@ -1,7 +1,7 @@
 """Group-sparse l1/lq proximal operators and an accelerated solver.
 
 The toolkit computes the lq-regularized Euclidean projection for any
-q >= 1 (closed forms at q = 1, 2, inf; nested zero-finding otherwise),
+q >= 1 (closed forms at q = 1, 2, inf; a joint Newton iteration otherwise),
 applies it to all groups at once with one batched kernel per q, and uses
 it inside an accelerated proximal-gradient solver with warm-started
 regularization paths.

@@ -169,7 +169,7 @@ def bench_prox(n_values, q, lambda_ratio=0.5, seed=0, runs=21):
     """Median projection times over random positive vectors of each size.
 
     Returns a list of (n, median_ns, outer_iters, inner_sweeps) tuples,
-    inner_sweeps counting the inner Newton passes; the counts are those of
+    inner_sweeps counting the passes over the vector; the counts are those of
     the last run at each size.
     """
     if runs < 1:

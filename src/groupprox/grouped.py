@@ -51,7 +51,7 @@ def _partition(offsets, size):
 
 def _finite(values):
     """values, checked to hold no inf or nan."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     return values
 
@@ -128,22 +128,25 @@ def group_norms(values, offsets, q):
     """Per-group lq-norms of a flat vector, vectorized over groups."""
     offsets = np.asarray(offsets, dtype=np.intp)
     a = np.abs(np.asarray(values, dtype=float))
-    return _group_norms(a, np.maximum.reduceat(a, offsets[:-1]), offsets, q)
+    m = np.maximum.reduceat(a, offsets[:-1])
+    return m * _unit_norms(a, m, offsets, q)
 
 
-def _group_norms(a, m, offsets, q):
-    """group_norms from the magnitudes ``a`` and each group's largest ``m``."""
+def _unit_norms(a, m, offsets, q):
+    """Per-group lq-norms of the magnitudes ``a`` in units of each group's
+    largest magnitude ``m`` (0 for a zero group). In these units a norm lies
+    in [1, n**(1/q)] and cannot overflow, where m times it can."""
     if math.isinf(q):
-        return m
+        return (m > 0.0).astype(float)
     starts = offsets[:-1]
     safe = np.where(m > 0.0, m, 1.0)
-    scaled = np.repeat(safe, np.diff(offsets))
+    scaled = np.repeat(safe, offsets[1:] - starts)
     np.divide(a, scaled, out=scaled)
     if q == 1.0:
-        return m * np.add.reduceat(scaled, starts)
+        return np.add.reduceat(scaled, starts)
     if q == 2.0:
-        return m * np.sqrt(np.add.reduceat(np.square(scaled, out=scaled), starts))
-    return m * np.add.reduceat(np.power(scaled, q, out=scaled), starts) ** (1.0 / q)
+        return np.sqrt(np.add.reduceat(np.square(scaled, out=scaled), starts))
+    return np.add.reduceat(np.power(scaled, q, out=scaled), starts) ** (1.0 / q)
 
 
 def mixed_norm(w: GroupedVector, q):

@@ -5,46 +5,30 @@ For a single block the projection solves
     argmin_x  0.5*||x - v||_2**2 + lam*||x||_q.
 
 q = 1, 2, inf admit closed or semi-closed forms. For general q in (1, inf)
-the solution is recovered from two nested zero-finding problems: an outer
-scalar root c* of phi(c) = lam*psi(c) - c, and, per evaluation of phi, the
-per-coordinate roots of x + c*x**(q-1) = v_i. The outer search runs over
-u = log(c), because the bracket endpoints can span hundreds of orders of
-magnitude for large q, with Newton steps from the bracket's left end,
-safeguarded by bisection. Their slope comes from the inner roots at no
-extra pass: at a root, d log x_i/du = -(v_i - x_i)/(x_i + (q-1)(v_i - x_i)).
-Each inner root comes from Newton's method on log x, in which the equation
-is convex for every q > 1, started from an upper bound or from the
-previous step's roots moved along that tangent. For q < 2 one Newton step
-on x itself finishes the roots, since where x << v log x resolves only to
-about eps/(q-1). Each group is solved scaled to unit max-magnitude: the
-projection commutes with scaling (v, lam) -> (s*v, s*lam), which shifts u
-by (2-q)*log(s), so nothing in the solve overflows and the result is
-scale-equivariant up to rounding. The roots leave the log domain only in
-the caller's units, so a root that a double holds does not underflow for
-being tiny beside max|v|.
+the solution comes from two zero-finding problems: per coordinate the root
+x_i of x + c*x**(q-1) = v_i, and the scalar c* that solves
+phi(c) = lam*psi(c) - c, psi aggregating the x_i. The kernel solves both
+at once, by Newton's method on t = log x and u = log c, one pass over the
+coordinates per step, safeguarded by a bracket of u certified at every
+step, by roots solved exactly at fixed u (Newton on log x, in which the
+inner equation is convex for every q > 1) and by bisection
+(_solve_positive_groups). For q < 2 one Newton step on x itself finishes
+the roots, since where x << v log x resolves only to about eps/(q-1). Each
+group is solved scaled to unit max-magnitude: the projection commutes with
+scaling (v, lam) -> (s*v, s*lam), which shifts u by (2-q)*log(s), so
+nothing in the solve overflows and the result is scale-equivariant up to
+rounding. The roots leave the log domain only in the caller's units, so a
+root that a double holds does not underflow for being tiny beside max|v|.
 
-No loop has a cap or a sweep tolerance. A Newton coordinate stops once its
-step no longer shrinks, which it reaches at the rounding of the equation:
-over varied inputs, q from 1 + 1e-6 to 101, each inner solve took at most
-16 passes over the vector, and a projection takes one solve per outer step
-plus one at the left end of the bracket. The outer Newton stops at a step
-of 1e-10 in u, which is scale-free, or of one float spacing at u (past
-|u| = 2**19, which large q reach), or where the error its quadratic
-convergence predicts for the Newton point is below rounding. Every outer
-step but one try of the bracket's right end evaluates phi strictly inside
-the bracket and shrinks it, so the outer loop ends too; over 10,500
-random groups (q from 1 + 1e-6 to 100, 2 to 60 entries) it took at most
-8 steps. Every entry point rejects inf and nan in v and a nan or negative
-lam, so the kernels only see finite magnitudes.
-
-The per-coordinate work runs in contiguous blocks of _BLOCK coordinates:
-the inner Newton passes, per outer step the tangent start and the slope
-of log x, and the final roots of a finished group. A block's temporaries stay
-in cache and the allocator reuses them, where whole-vector temporaries of
-a long group would each be fresh pages. Each inner root follows its own
-iteration to its own stop, so the roots are bit-identical to a solve over
-the whole vector, and the pass count, set by the slowest coordinate, is
-the largest over blocks.
+No loop has a cap or a sweep tolerance: every step shortens the Newton
+step, makes the roots exact or shrinks the bracket. Over 10,500 random
+groups (q from 1 + 1e-6 to 101, 2 to 60 entries spread over 1e+-3, lam
+0.01 to 0.999 of the dual norm) a projection took a median of 8 passes
+over the vector, at most 33, in at most 14 steps. The per-coordinate work
+runs in contiguous blocks of _BLOCK coordinates, whose temporaries stay in
+cache and are reused, where those of a long group would be fresh pages.
+Every entry point rejects inf and nan in v and a nan or negative lam, so
+the kernels only see finite magnitudes.
 
 At astronomically large q, log c* is of size q, so the outer solve
 resolves x only to about q*eps*min(lam, max|v|), while the q = inf
@@ -72,7 +56,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grouped import (GroupedVector, _finite, _group_norms, dual_exponent,
+from .grouped import (GroupedVector, _finite, _unit_norms, dual_exponent,
                       group_norms, q_norm)
 
 __all__ = [
@@ -91,7 +75,7 @@ __all__ = [
     "prox_objective",
 ]
 
-# Outer tolerance in u = log(c), on the Newton step and the bracket width.
+# Tolerance of the general-q kernel on the bracket width in u = log(c).
 _OUTER_TOL = 1e-10
 
 # Coordinates per block of the general-q kernel's per-coordinate work: a
@@ -107,14 +91,17 @@ _EPS = np.finfo(float).eps
 _BOUNDARY_RTOL = 1e-12
 
 
-def _nonzero(dual, lam):
-    """The zero rule of every q > 1: whether groups of dual norm ``dual``
-    project to a nonzero vector. lam = inf projects every group to zero."""
-    return dual - lam > _BOUNDARY_RTOL * dual
+def _shrinkage(dual, lam):
+    """The zero rule of every q > 1: eps = 1 - lam/dual per group of dual
+    norm ``dual`` that projects to a nonzero vector, else 0. A dual norm
+    that overflowed to inf lies above every finite lam, and lam = inf
+    projects every group to zero."""
+    return np.where(lam < (1.0 - _BOUNDARY_RTOL) * dual,
+                    1.0 - lam / np.where(dual > 0.0, dual, 1.0), 0.0)
 
 
 class ProjectionError(RuntimeError):
-    """Internal consistency failure of the nested zero-finding."""
+    """Internal consistency failure of the general-q solve."""
 
     def __init__(self, msg, *, epsilon=None, c_low=None, c_high=None,
                  phi_low=None, group=None):
@@ -139,11 +126,11 @@ class ProxDiagnostics:
 
 def is_zero_solution(v, lam, q):
     """True iff the projection of v is exactly zero: lam >= max|v| at q = 1,
-    where the soft threshold snaps nothing, else the kernels' _nonzero."""
+    where the soft threshold snaps nothing, else the kernels' _shrinkage."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
     dual = q_norm(v, dual_exponent(q))
-    return lam >= dual if q == 1.0 else not _nonzero(dual, lam)
+    return lam >= dual if q == 1.0 else bool(_shrinkage(dual, lam) == 0.0)
 
 
 def _check_lam(lam):
@@ -183,8 +170,7 @@ def _prox_l2_groups(vals, offsets, lam):
     Returns (x, norms), norms the l2-norm of each group of x.
     """
     norms = group_norms(vals, offsets, 2.0)
-    factor = np.maximum(0.0, 1.0 - lam / np.where(norms > 0.0, norms, 1.0))
-    factor *= _nonzero(norms, lam)
+    factor = _shrinkage(norms, lam)
     return vals * np.repeat(factor, np.diff(offsets)), factor * norms
 
 
@@ -197,8 +183,7 @@ def _prox_linf_groups(vals, offsets, lam):
     """
     a = np.abs(vals)
     sizes = np.diff(offsets)
-    l1 = np.add.reduceat(a, offsets[:-1])
-    outside = _nonzero(l1, lam)
+    outside = _shrinkage(np.add.reduceat(a, offsets[:-1]), lam) > 0.0
     t = np.zeros(sizes.size)
     t[outside] = _l1_ball_thresholds(a[np.repeat(outside, sizes)],
                                      sizes[outside], lam)
@@ -261,8 +246,9 @@ def _log_c_candidates(log_v, log_eps, log_keep, q):
 
     Takes log(eps) and log(1 - eps) = log(lam/||v||_qbar), so that an eps
     within rounding of 1 (lam tiny beside the dual norm) keeps its digits.
+    At q = 2 every candidate is the same float.
     """
-    return log_keep + log_v - (q - 1.0) * (log_v + log_eps)
+    return log_keep - (q - 1.0) * log_eps + (2.0 - q) * log_v
 
 
 def c_interval(v_abs, epsilon, q):
@@ -309,29 +295,20 @@ def _newton_step(t, log_v, a, e):
 def _newton_roots(log_v, a, e, hint=None):
     """Roots t = log(w) of w + exp(a)*w**e = v, elementwise, for e > 0.
 
-    Newton runs on t: F(t) = logaddexp(t, a + e*t) - log(v) is a log-sum-exp
-    of two increasing affine functions of t, so it is convex and increasing
-    for every e > 0, and iterates from an upper bound of the root decrease
-    monotonically towards it; in log space the iterate resolves no finer
-    than F can be evaluated. A coordinate stops at the first step that
-    would not move it down or is no shorter than its previous step: steps
-    shrink until they reach the rounding of F, where they stop shrinking,
-    change sign or vanish. A decreasing sequence of floats gets there
-    without a cap or a tolerance, and the loop ends when every coordinate
-    has stopped.
+    Newton runs on t: F(t) = logaddexp(t, a + e*t) - log(v) is convex and
+    increasing for every e > 0, so iterates from an upper bound of the root
+    decrease monotonically towards it. A coordinate stops at the first step
+    that would not move it down or is no shorter than its previous step,
+    which it reaches at the rounding of F without a cap or a tolerance.
 
     ``a`` is per coordinate. The start is the cold bound
     min(log v, (log v - a)/e), an upper bound of the root, or ``hint``
-    where that is smaller. A hint may lie below the root, so the first step
-    is taken in either direction: from below, convexity puts it above the
-    root, and it is clipped to the cold bound. The roots are written over
-    ``hint`` when it is given. Returns (t, passes); ``passes`` counts the
-    evaluations of F, each a pass over the vector.
-
-    Every coordinate follows its own iteration and stops on its own test,
-    and a stopped coordinate's step is zeroed and stays zero, so a solve
-    over any slice gives the same roots bit for bit, and a solve over the
-    whole vector takes as many passes as its slowest slice.
+    where that is smaller; a hint below the root steps above it at once,
+    by convexity, and is clipped to the cold bound. The roots are written
+    over ``hint`` when it is given. Returns (t, passes); ``passes`` counts
+    the evaluations of F, each a pass over the vector. A stopped
+    coordinate stays stopped, so a solve over any slice gives the same
+    roots bit for bit, in as many passes as its slowest coordinate needs.
     """
     # a start at +inf is the cold bound
     t = np.full_like(log_v, np.inf) if hint is None else hint
@@ -360,18 +337,12 @@ def _newton_roots(log_v, a, e, hint=None):
 def _newton_polish(x, v, log_c, q):
     """One Newton step on h(x) = x + c*x**(q-1) - v, for 1 < q < 2.
 
-    The inner solve runs on log x, where F' = (x + (q-1)*p)/(x + p) with
-    p = c*x**(q-1). Where x << v, p is near v and F' near q - 1, so log x,
-    and x relatively, resolve only to about eps/(q-1): at q = 1 + 1e-6 the
-    optimality residual reads about 1e-9 of max|v| without this step.
-
-    h'(x) = 1 + c*(q-1)*x**(q-2) >= 1 on (0, v), so the step from a root
-    accurate to a few digits squares its relative error. The step is
-    (x + p - v)/(1 + (q-1)*a) with p = c*x**(q-1) and a = c*x**(q-2), each
-    formed from logs: p is near v - x at a root, so it does not overflow,
-    and a is +inf at x = 0, where h' is infinite and the step is 0. Where a
-    overflows (x below about 1e-308 of v) the step is 0 too, and x keeps
-    the accuracy of log x.
+    Where x << v, F' = (x + (q-1)*p)/(x + p) with p = c*x**(q-1) is near
+    q - 1 in the solve on log x, so x resolves only to about eps/(q-1) of
+    itself. h'(x) >= 1 on (0, v), so this step squares that error. It is
+    (x + p - v)/(1 + (q-1)*a), a = c*x**(q-2), both formed from logs: a is
+    +inf at x = 0, and overflows below about 1e-308 of v, where the step
+    is 0 and x keeps the accuracy of log x.
     """
     e = q - 1.0
     with np.errstate(divide="ignore", over="ignore"):
@@ -380,52 +351,6 @@ def _newton_polish(x, v, log_c, q):
         a = np.exp(log_c + (e - 1.0) * log_x)
     step = (x + p - v) / (1.0 + e * a)
     return np.clip(x - step, 0.0, v)
-
-
-def _dlog_x(log_x, u, q, out=None):
-    """d log x_i/du at the inner roots x_i of x + exp(u)*x**(q-1) = v.
-
-    Written into ``out`` if given.
-
-    Differentiating the equation gives -r/(1 + (q-1)*r), r = (v - x)/x,
-    and at a root r = c*x**(q-2), which log x gives without cancellation.
-    Written as -1/(1/r + q - 1), it lies in [-1/(q-1), 0] and stays
-    finite where 1/r over- or underflows.
-    """
-    d = np.multiply(log_x, 2.0 - q, out=out)
-    d -= u
-    with np.errstate(over="ignore"):
-        np.exp(d, out=d)
-    d += q - 1.0
-    np.reciprocal(d, out=d)
-    return np.negative(d, out=d)
-
-
-def _d2log_x(dlog_x, q):
-    """d2 log x_i/du2 at the inner roots, from a = d log x_i/du.
-
-    With a = -1/(1/r + q - 1) and d log r/du = 1 + (q-2)*a, it is
-    a*(1 + (q-1)*a)*(1 + (q-2)*a).
-    """
-    return dlog_x * (1.0 + (q - 1.0) * dlog_x) * (1.0 + (q - 2.0) * dlog_x)
-
-
-def _log_psi_groups(log_x, starts, sizes, q, dlog_x=None):
-    """log psi(c) per group, psi = (sum_i x_i**q)**((1-q)/q), from log x.
-
-    Given ``dlog_x`` = d log x_i/du, also returns d log psi/du per group:
-    (1-q) times the x**q-weighted mean of dlog_x.
-    """
-    top = np.maximum.reduceat(log_x, starts)
-    w = np.repeat(top, sizes)
-    np.subtract(log_x, w, out=w)
-    w *= q
-    s = np.add.reduceat(np.exp(w, out=w), starts)
-    log_psi = (1.0 - q) * top + ((1.0 - q) / q) * np.log(s)
-    if dlog_x is None:
-        return log_psi
-    w *= dlog_x
-    return log_psi, (1.0 - q) * np.add.reduceat(w, starts) / s
 
 
 def phi(c, v_abs, lam, q):
@@ -449,234 +374,299 @@ def phi(c, v_abs, lam, q):
     log_v = np.log(v_abs) - log_s
     u = np.full(v_abs.size, math.log(c) + (q - 2.0) * log_s)
     log_x = _newton_roots(log_v, u, q - 1.0)[0]
-    one = np.array([0], dtype=np.intp)
-    log_psi = _log_psi_groups(log_x, one, np.array([v_abs.size]), q)[0]
-    return lam * math.exp(float(log_psi) + (1.0 - q) * log_s) - c
+    # log psi = (1-q)*top + ((1-q)/q)*log(sum of (x/e**top)**q)
+    top = log_x.max()
+    w_sum = _joint_pass(log_x, log_v, u, 0.0, top, q, np.zeros((3, u.size)),
+                        np.empty((4, u.size)), np.array([0]))[0][0, 0]
+    log_psi = (1.0 - q) * (top + math.log(w_sum) / q)
+    return lam * math.exp(log_psi + (1.0 - q) * log_s) - c
 
 
-def _solve_positive_groups(log_v, starts, sizes, gid, lam, q, dual,
-                           log_scale, groups):
-    """Outer root of every group: safeguarded Newton in u = log(c).
+def _blocks(sizes, arrays, scratch):
+    """For groups of ``sizes`` entries: the coordinate-to-group index, the
+    group starts, and per block of _BLOCK coordinates its views in each of
+    ``arrays`` and in as many columns of ``scratch``, the starts of its
+    pieces of groups relative to it, and its first group."""
+    gid = np.repeat(np.arange(sizes.size), sizes)
+    starts = np.cumsum(sizes) - sizes
+    blocks = []
+    for i in range(0, gid.size, _BLOCK):
+        gb = gid[i:i + _BLOCK]
+        ls = starts[gb[0]:gb[-1] + 1] - i
+        ls[0] = 0
+        blocks.append((gb, *(a[..., i:i + _BLOCK] for a in arrays),
+                       scratch[:, :gb.size], ls, gb[0]))
+    return gid, starts, blocks
+
+
+def _joint_pass(t, log_v, u, du, top, q, coords, m, starts):
+    """One pass of the joint Newton step over groups that begin at
+    ``starts``; ``u``, its step ``du`` and ``top`` (at least the group's
+    largest t) are per coordinate. Moves t by -(r + s*du), clipped to the
+    cold bound at u, then writes F = logaddexp(t, u + (q-1)*t) - log v,
+    r = F/F_t and s = F_u/F_t into ``coords``, and the weights
+    (x/e**top)**q and their products with F, r and 1 - (q-1)*s into ``m``.
+    Returns the sums of ``m`` and the largest r and s per group."""
+    F, r, s = coords
+    e = q - 1.0
+    d = s * du
+    d += r
+    t -= d
+    a = u - log_v
+    np.divide(a, -e, out=d)
+    np.minimum(d, log_v, out=d)
+    np.minimum(t, d, out=t)
+    w = t - log_v
+    np.exp(w, out=w)
+    p = e * t
+    p += a
+    np.exp(p, out=p)
+    total = w + p
+    np.log(total, out=F)
+    slope = e * p
+    slope += w
+    np.divide(p, slope, out=s)
+    np.multiply(F, total, out=r)
+    r /= slope
+    np.divide(w, slope, out=m[3])
+    np.subtract(t, top, out=m[0])
+    m[0] *= q
+    np.exp(m[0], out=m[0])
+    np.multiply(m[0], coords[:2], out=m[1:3])
+    m[3] *= m[0]
+    return (np.add.reduceat(m, starts, axis=1),
+            np.maximum.reduceat(coords[1:], starts, axis=1))
+
+
+def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
+                           groups):
+    """Both roots of every group at once: Newton on (log x, log c).
 
     ``log_v`` holds the log-magnitudes of the nonzero entries of all active
-    groups back to back, each less its group's ``log_scale`` (the log of
-    its largest magnitude). The projection commutes with that scaling,
-    which shifts u by (q-2)*log_scale and divides lam by the scale. ``gid``
-    maps coordinates to group index, ``dual`` is the per-group dual norm
-    ||v||_qbar and ``groups`` the caller's index of each group, for errors.
+    groups back to back, ``sizes`` each, less their group's ``log_scale``
+    (the log of its largest magnitude), which shifts u = log(c) by
+    (q-2)*log_scale; ``dual`` and ``eps`` = 1 - lam/dual are per group, in
+    these units; ``groups`` is the caller's index of each, for errors.
 
-    Newton runs on G(u) = log(lam) + log(psi(u)) - u, phi in log units,
-    from the left end of the bracket, where G >= 0. Its slope
-    dG/du = d log psi/du - 1 lies in [-1, 0) and comes from the inner
-    roots at no extra pass (_dlog_x); ``fall`` is its negative. The right
-    end is a bound only: theory puts G <= 0 there, and a Newton point at
-    or past it tries the end itself once. Any other Newton point that is
-    not finite or not strictly inside the bracket bisects it instead, so
-    every other step evaluates G strictly inside and shrinks the bracket.
-    A group leaves the working set once its Newton step or its bracket is
-    at most _OUTER_TOL or the float spacing at u, or, after a Newton step
-    of length ``prev`` other than the first, the quadratic-convergence
-    estimate |step|**3/prev**2 of the Newton point's error is below the
-    float spacing at u. Its root is then the Newton point clipped to the
-    bracket, and x the last roots moved to it to second order in u. The
-    roots leave the log domain in units in which they are doubles, so that
-    none that the caller's units hold underflows. Returns (x, u_star,
-    outer_iters, inner_passes) in the caller's units.
+    The equations are F_i = logaddexp(t_i, u + (q-1)*t_i) - log v_i = 0 in
+    t_i = log x_i, and G = log(lam) + log(psi(t)) - u = 0. With
+    r = F/F_t and s = F_u/F_t, the bordered Jacobian gives
+    du = (G + (q-1)*<r>)/fall and dt = -(r + s*du), <.> the x**q-weighted
+    mean and fall = <1 - (q-1)*s>, in (0, 1], -dG/du at the roots.
+
+    F is convex, so from the cold bound min(log v, (log v - u)/(q-1)) t
+    stays at or above the roots: G is at most its value there and, log psi
+    being concave and F_t >= min(1, q-1), G + max(1, q-1)*<F> at least.
+    Their signs move the ends of the bracket of u, from whose left end the
+    search starts. At exact roots (_newton_roots) G alone decides, and
+    du = G/fall. A Newton point in the bracket is taken if its step is
+    shorter than the last, or half of it where it steps back; otherwise a
+    group solves its roots exactly at u, or, where they are exact, tries
+    the bracket's right end once (where the root lies when that bound is
+    tight) or bisects. Every step shortens the Newton step, makes the roots
+    exact or shrinks the bracket, so the loop ends. A group finishes at
+    x = t + dt once its step moves u, times max s, and every log x by at
+    most step_tol; or, from exact roots, at the Newton point with its roots
+    solved there, once its bracket is within _OUTER_TOL or G is zero to its
+    rounding; or at once, if its bracket is a point. Returns (x, u_star,
+    steps, passes) in the caller's units.
     """
+    e = q - 1.0
     log_lam = math.log(lam) - log_scale
-    log_dual = np.log(dual)
-    # c_i is log-linear in v_i, so the extremes of log v (the largest is 0)
-    # give those of the candidates
-    log_c = _log_c_candidates(
-        np.stack((np.minimum.reduceat(log_v, starts), np.zeros(sizes.size))),
-        np.log(dual - lam) - log_dual, math.log(lam) - log_dual, q)
-    lo, hi = np.sort(log_c, axis=0)
-    u = lo.copy()
-    # log x and d log x/du, rewritten in place at every step; log x = inf
-    # starts the first solve cold
-    coords = np.empty((2, log_v.size))
-    log_x, dlog_x = coords
-    log_x.fill(np.inf)
-    passes = 0
-
-    def at(trial, warm=True):
-        """Roots log x and d log x/du at ``trial``; G and -dG/du there.
-
-        A warm inner solve starts from the roots at u moved along their
-        tangent d log x/du. The coordinate work runs in blocks of _BLOCK
-        coordinates, so no temporary is a whole vector; each block is
-        solved to its own stop, which gives the roots and the pass count of
-        one solve over the whole vector (_newton_roots).
-        """
-        nonlocal passes
-        move, most = trial - u, 0
-        for i in range(0, log_v.size, _BLOCK):
-            b = slice(i, i + _BLOCK)
-            gb, tb, hint = gid[b], log_x[b], dlog_x[b]
-            ub = trial[gb]
-            if warm:
-                hint *= move[gb]
-                tb += hint
-            most = max(most, _newton_roots(log_v[b], ub, q - 1.0, tb)[1])
-            _dlog_x(tb, ub, q, out=hint)
-        passes += most
-        log_psi, dlog_psi = _log_psi_groups(log_x, starts, sizes, q, dlog_x)
-        return log_lam + log_psi - trial, 1.0 - dlog_psi
-
-    g, fall = at(u, warm=False)
-    # Theory guarantees phi(c_low) >= 0; allow a small numerical margin
-    # (log-scale units) before declaring inconsistency.
-    bad = np.nonzero(g < -1e-6)[0]
-    if bad.size:
-        b = int(bad[0])
-        shift = (2.0 - q) * log_scale[b]
-        raise ProjectionError(
-            "phi endpoint signs inconsistent",
-            epsilon=float((dual[b] - lam) / dual[b]),
-            c_low=math.exp(lo[b] + shift), c_high=math.exp(hi[b] + shift),
-            phi_low=float(g[b]), group=int(groups[b]),
-        )
-    # within the margin, a negative G at the left end is rounding: the end
-    # is the root
-    np.maximum(g, 0.0, out=g)
-
+    # log x, and F, r, s: with r = s = 0, step one takes t to its cold bound
+    t = np.full(log_v.size, np.inf)
+    coords = np.zeros((3, log_v.size))
+    work = np.empty((4, min(log_v.size, _BLOCK)))
+    gid, starts, blocks = _blocks(sizes, (t, log_v, coords), work)
+    # the candidates are log-linear in log v, so its extremes give theirs
+    lo, hi = np.sort(_log_c_candidates(
+        np.minimum.reduceat(log_v, starts) * [[1.0], [0.0]],
+        np.log(eps), log_lam - np.log(dual), q), axis=0)
+    ulp = np.spacing(np.maximum(hi, -lo))  # u's resolution in the bracket
+    u, du = lo.copy(), np.zeros(sizes.size)
+    last = np.full(sizes.size, np.inf)  # the last step taken
+    # a bracket that is a point (q = 2, equal magnitudes or one nonzero
+    # entry) holds the root: its roots are solved exactly there, and done
+    exact = fix = done = lo == hi
+    n_fix = n_done = np.count_nonzero(fix)
+    open_hi = np.ones(sizes.size, dtype=bool)  # hi not yet tried
+    scale = np.array([[1.0], [max(1.0, e)], [e], [1.0]])
+    # a step leaves K*step**2, K <= (q-2)**2/(8*min(1, q-1)) for the roots
+    step_tol = math.sqrt(8.0 * _EPS / max(1.0, (q - 2.0)**2 / min(1.0, e)))
     x_out, u_out = np.empty(log_v.size), np.empty(sizes.size)
     live_c, live_g = np.arange(log_v.size), np.arange(sizes.size)
-    open_hi = np.ones(sizes.size, dtype=bool)  # G not yet evaluated at hi
-    prev = np.zeros(sizes.size)  # the last step, where it was Newton's
-    outer = 0
+    steps = passes = 0
     while True:
-        step = g / fall
-        newton = u + step
-        # past |u| = 2**19 floats lie more than _OUTER_TOL apart, and a
-        # bracket no wider than the float spacing has no float inside
-        length, ulp = np.abs(step), np.spacing(np.abs(u))
-        tol = np.maximum(ulp, _OUTER_TOL)
-        # converging quadratically, the Newton point is off by about
-        # |step|**3/prev**2, which may already lie below the float spacing
-        done = (length <= tol) | (hi - lo <= tol) | (length**3 <= ulp * prev**2)
-        if np.count_nonzero(done):
-            # fmax and fmin take the bracket end over a nan Newton point
-            uf = np.fmin(np.fmax(newton, lo), hi)
-            fin = np.flatnonzero(done[gid])
+        if n_fix:
+            # exact roots at u from t, above them; r = du = 0 keep them there
+            every = n_fix == sizes.size
+            sel = slice(None) if every else np.flatnonzero(fix[gid])
+            ts, lvs, gs = t[sel], log_v[sel], gid[sel]
+            slowest = 0
+            for i in range(0, ts.size, _BLOCK):
+                b = slice(i, i + _BLOCK)
+                slowest = max(slowest,
+                              _newton_roots(lvs[b], u[gs[b]], e, ts[b])[1])
+            passes += slowest
+            if not every:
+                t[sel] = ts
+            coords[1, sel] = 0.0
+            du *= ~fix
+        if n_done:
+            every = n_done == sizes.size
+            fin = gid if every else np.flatnonzero(done[gid])
             for i in range(0, fin.size, _BLOCK):
-                f = fin[i:i + _BLOCK]
+                f = slice(i, i + _BLOCK) if every else fin[i:i + _BLOCK]
                 gf = gid[f]
-                # log x at uf, to second order in the distance d from u
-                a, d = dlog_x[f], (uf - u)[gf]
-                lx = log_x[f] + d * (a + 0.5 * d * _d2log_x(a, q))
+                lx = t[f] - (coords[1, f] + coords[2, f] * du[gf])
                 if q < 2.0:
-                    # where x << v, log x resolves only to about
-                    # eps/(q-1); one Newton step on x itself restores the
-                    # digits. It runs in units of sqrt(x*v), clipped at
-                    # e**-700 of the group's scale, in which v is at most
-                    # e**700 and x a double wherever x/v is above about
-                    # e**-1400, where the group's scale may not hold x
+                    # log x resolves x only to about eps/(q-1) where
+                    # x << v: a Newton step on x restores the digits, in
+                    # units of sqrt(x*v) (clipped at e**-700 of the scale)
+                    # in which x and v are doubles
                     lv = log_v[f]
                     mid = np.maximum(0.5 * (lx + lv), -700.0)
                     x = _newton_polish(np.exp(lx - mid), np.exp(lv - mid),
-                                       uf[gf] + (q - 2.0) * mid, q)
+                                       u[gf] + (q - 2.0) * mid, q)
                     x_out[live_c[f]] = x * (np.exp(mid) * np.exp(log_scale)[gf])
                 else:
-                    lx += log_scale[gf]
-                    x_out[live_c[f]] = np.exp(lx)
+                    x_out[live_c[f]] = np.exp(lx + log_scale[gf])
             if q < 2.0:
                 passes += 1
-            u_out[live_g[done]] = uf[done] + (2.0 - q) * log_scale[done]
+            u_out[live_g[done]] = u[done] + (2.0 - q) * log_scale[done]
+            if every:
+                return x_out, u_out, steps, passes
             keep, keep_c = ~done, ~done[gid]
-            (u, lo, hi, open_hi, length, newton, log_lam, log_scale, sizes,
-             live_g) = (a[keep] for a in (u, lo, hi, open_hi, length, newton,
-                                          log_lam, log_scale, sizes, live_g))
-            if not sizes.size:
-                return x_out, u_out, outer, passes
-            # compress keeps the rows of coords contiguous, where a[:, keep_c]
-            # would interleave them
-            coords, log_v, live_c = (a.compress(keep_c, axis=-1)
-                                     for a in (coords, log_v, live_c))
-            log_x, dlog_x = coords
-            starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-            gid = np.repeat(np.arange(sizes.size), sizes)
-        outer += 1
-        # a Newton point at or past the unevaluated right end tries the end
-        # itself, where the root lies when the bound is tight; any other
-        # point not strictly inside, nan included, bisects
-        inside = (newton > lo) & (newton < hi)
-        trial = np.where(inside, newton,
-                         np.where(open_hi & (newton >= hi), hi,
-                                  lo + 0.5 * (hi - lo)))
-        # a first step, from the far left end, shows no quadratic convergence
-        prev = length * (inside & (outer > 1))
-        g, fall = at(trial)
-        u = trial
-        left = g >= 0.0
-        lo = np.where(left, u, lo)
-        hi = np.where(left, hi, u)
-        open_hi &= left
+            (u, du, lo, hi, ulp, last, exact, open_hi, log_lam, log_scale,
+             sizes, live_g) = (a[keep] for a in (
+                 u, du, lo, hi, ulp, last, exact, open_hi, log_lam,
+                 log_scale, sizes, live_g))
+            t, log_v, live_c = t[keep_c], log_v[keep_c], live_c[keep_c]
+            coords = coords[:, keep_c]
+            gid, _, blocks = _blocks(sizes, (t, log_v, coords), work)
+        # one pass; the cold bound of the largest entry, -max(u, 0)/(q-1),
+        # bounds every t of its group and stands in for the largest
+        steps += 1
+        passes += 1
+        pos = np.maximum(u, 0.0)
+        top = pos * (-1.0 / e)
+        sums = [_joint_pass(tb, lv, u[gb], du[gb], top[gb], q, cb, m, ls)
+                for gb, tb, lv, cb, m, ls, _ in blocks]
+        if len(blocks) == 1:
+            (acc, most), = sums
+        else:
+            acc, most = np.zeros((4, sizes.size)), np.zeros((2, sizes.size))
+            for (part, peak), (*_, ls, g0) in zip(sums, blocks):
+                acc[:, g0:g0 + ls.size] += part
+                mg = most[:, g0:g0 + ls.size]
+                np.maximum(mg, peak, out=mg)
+        # (1-q)*top - u is -min(u, 0)
+        g = log_lam - (e / q) * np.log(acc[0]) - (u - pos)
+        acc *= scale
+        acc /= acc[0]
+        fall = acc[3]
+        np.maximum(acc[1], 0.0, out=acc[1])  # F >= 0, but for rounding
+        upper, num = g + ~exact * acc[1:3]
+        lo = np.where(g >= 0.0, u, lo)
+        hi = np.where(upper < 0.0, u, hi)
+        du = num / fall
+        newton = u + du
+        # fmax and fmin take the bracket end over a nan Newton point
+        clipped = np.fmin(np.fmax(newton, lo), hi)
+        # the step moves each log x by at most max(r) + max(s)*|du|
+        length = np.abs(du)
+        sens = np.maximum(most[1], 1.0)
+        small = (np.maximum(length, most[0] / sens)
+                 <= np.maximum(step_tol / sens, ulp))
+        if np.count_nonzero(small) == sizes.size:
+            du, u = clipped - u, clipped
+            n_fix, n_done, done = 0, sizes.size, small
+            continue
+        # G, a difference of terms of the size of u, is zero to its rounding
+        near = (small | (hi - lo <= np.maximum(_OUTER_TOL / sens, ulp))
+                | (np.abs(num) <= (4.0 * _EPS) * np.abs(u)))
+        take = ((clipped == newton) & (np.abs(du / last - 0.25) < 0.75)
+                & ~near)
+        if np.count_nonzero(take) == sizes.size:
+            u, last, exact, n_fix, n_done = newton, du, ~take, 0, 0
+            continue
+        done = small | near & exact
+        bad = np.flatnonzero(done & exact & (g < -1e-6))
+        if bad.size:
+            # G < 0 at exact roots beyond rounding: the left end was wrong
+            b = int(bad[0])
+            with np.errstate(over="ignore"):
+                c = np.exp(np.array([lo[b], hi[b]]) + (2.0 - q) * log_scale[b])
+            raise ProjectionError(
+                "phi endpoint signs inconsistent",
+                epsilon=float(eps[live_g[b]]), c_low=float(c[0]),
+                c_high=float(c[1]), phi_low=float(g[b]),
+                group=int(groups[live_g[b]]))
+        open_hi &= u < hi
+        u_new = np.where(take | done, clipped, np.where(exact, np.where(
+            open_hi & (newton >= hi), hi, 0.5 * (lo + hi)), u))
+        exact = ~(exact | take | done)
+        du = u_new - u
+        last = np.where(exact, np.inf, du)
+        u = u_new
+        # those that stay solve their roots exactly, and so do those that
+        # finish by their bracket or G's rounding, at the Newton point
+        fix = exact | done & ~small
+        n_fix, n_done = np.count_nonzero(fix), np.count_nonzero(done)
 
 
 def _prox_lq_groups(vals, offsets, lam, q):
     """Batched general-q projection over all groups of a flat vector, lam > 0.
 
     Groups at or within rounding error of the dual-norm boundary project to
-    exact zero; a group with one nonzero coordinate is soft-thresholded,
-    since every q-norm of a scalar is its magnitude; a group for which q is
-    so large that the q = inf projection is the closer answer (module
-    docstring) gets that; the rest go through the nested zero-finding
-    together, with their zero coordinates dropped.
-    Returns (x, c_star, eps, outer_iters, inner_passes), where c_star and
-    eps are per group: c_star is nan where no outer solve ran, eps is 0
-    where the projection is zero.
+    exact zero; a group for which q is so large that the q = inf projection
+    is the closer answer (module docstring) gets that; the rest are solved
+    together, without their zero coordinates. Returns (x, c_star, eps,
+    outer_iters, inner_passes); c_star and eps are per group, c_star nan
+    where no solve ran and eps 0 where the projection is zero.
     """
-    sizes = np.diff(offsets)
+    sizes = offsets[1:] - offsets[:-1]
     a = np.abs(vals)
     top = np.maximum.reduceat(a, offsets[:-1])
-    dual = _group_norms(a, top, offsets, dual_exponent(q))
-    active = _nonzero(dual, lam)
-    eps = np.zeros_like(dual)
-    eps[active] = (dual[active] - lam) / dual[active]
+    # the dual norm in units of top, in which it does not overflow
+    dual = _unit_norms(a, top, offsets, dual_exponent(q))
+    eps = _shrinkage(dual, lam / np.where(top > 0.0, top, 1.0))
     nonzero = vals != 0.0
     nnz = np.add.reduceat(nonzero, offsets[:-1], dtype=np.intp)
     out = np.zeros_like(vals)
     c_star = np.full(dual.size, np.nan)
-
-    single = np.repeat(active & (nnz == 1), sizes) & nonzero
-    out[single] = np.sign(vals[single]) * (a[single] - lam)
-
-    nested = active & (nnz > 1)
+    solved = eps > 0.0
     # the q = inf projection is within about lam*ln(n)/q of the exact one,
     # and the outer solve resolves x to about q*eps*min(lam, max|v|); the
     # test needs q*q*eps >= ln(2), so it is never met below q = 5.6e7
     qqe = q * q * _EPS
     if qqe >= math.log(2.0):
-        with np.errstate(invalid="ignore"):  # lam = inf leaves none nested
-            near_inf = nested & (np.log(nnz) <= qqe * np.minimum(1.0, top / lam))
+        with np.errstate(invalid="ignore"):  # lam = inf leaves none solved
+            near_inf = solved & (np.log(nnz) <= qqe * np.minimum(1.0, top / lam))
         m = np.repeat(near_inf, sizes)
         out[m] = _prox_linf_groups(vals[m], np.concatenate(
             ([0], np.cumsum(sizes[near_inf]))), lam)[0]
-        nested &= ~near_inf
-    if not nested.any():
+        solved &= ~near_inf
+    if not solved.any():
         return out, c_star, eps, 0, 0
-    sel = np.repeat(nested, sizes) & nonzero
+    sel = np.repeat(solved, sizes) & nonzero
     # zero coordinates drop out but group contiguity is preserved
-    sub_sizes = nnz[nested]
-    sub_starts = np.concatenate(([0], np.cumsum(sub_sizes)[:-1]))
-    gid = np.repeat(np.arange(sub_sizes.size), sub_sizes)
-    log_scale = np.log(top[nested])
+    sub_sizes = nnz[solved]
+    log_scale = np.log(top[solved])
     log_v = np.log(a[sel])
-    log_v -= log_scale[gid]
+    log_v -= np.repeat(log_scale, sub_sizes)
     x, u_star, outer, inner = _solve_positive_groups(
-        log_v, sub_starts, sub_sizes, gid, lam, q, dual[nested], log_scale,
-        np.flatnonzero(nested),
+        log_v, sub_sizes, lam, q, dual[solved], eps[solved], log_scale,
+        np.flatnonzero(solved),
     )
-    x *= np.sign(vals[sel])
-    out[sel] = x
+    out[sel] = np.copysign(x, vals[sel])
     with np.errstate(over="ignore"):
-        c_star[nested] = np.exp(u_star)
+        c_star[solved] = np.exp(u_star)
     return out, c_star, eps, outer, inner
 
 
 def prox_lq_general(v, lam, q):
-    """General-q projection via the nested zero-finding scheme.
+    """General-q projection by the joint Newton iteration on both roots.
 
     Returns (x, ProxDiagnostics). Handles sign decomposition and zero
     entries itself; lam at or beyond the dual-norm boundary yields the
@@ -702,7 +692,7 @@ def prox_grouped(v: GroupedVector, lam, q, norms=None) -> GroupedVector:
     """Apply the lq projection to every group with one batched kernel per q.
 
     q = 1 is the flat soft threshold, q = 2 and q = inf the batched closed
-    and semi-closed forms, any other q > 1 the batched nested zero-finding.
+    and semi-closed forms, any other q > 1 the batched joint Newton iteration.
 
     ``norms``, if given, is an output array of length ``v.n_groups`` that
     receives the lq-norm of each group of the result, so that the penalty
@@ -755,15 +745,17 @@ def optimality_residual(x, v, lam, q):
     defect += x
     defect -= v
     np.abs(defect, out=defect)
-    # a root below the smallest normal keeps few significant bits, or none
-    # where it rounds to zero, and near q = 1 one subnormal spacing moves
-    # |x|**(q-1) by up to about q - 1 of itself: count such x_i as satisfied
-    # (``sub``) when the defect changes sign between its two float neighbours
-    ends = np.nextafter(x[sub], [[-np.inf], [np.inf]])
-    with np.errstate(divide="ignore"):
-        power = np.exp((q - 1.0) * (np.log(np.abs(ends)) - math.log(nrm)))
-    ends += lam * np.copysign(power, ends) - v[sub]
-    defect[sub[(ends[0] <= 0.0) & (ends[1] >= 0.0)]] = 0.0
+    if sub.size:
+        # a root below the smallest normal keeps few significant bits, or
+        # none where it rounds to zero, and near q = 1 one subnormal spacing
+        # moves |x|**(q-1) by up to about q - 1 of itself: count such x_i as
+        # satisfied (``sub``) when the defect changes sign between its two
+        # float neighbours
+        ends = np.nextafter(x[sub], [[-np.inf], [np.inf]])
+        with np.errstate(divide="ignore"):
+            power = np.exp((q - 1.0) * (np.log(np.abs(ends)) - math.log(nrm)))
+        ends += lam * np.copysign(power, ends) - v[sub]
+        defect[sub[(ends[0] <= 0.0) & (ends[1] >= 0.0)]] = 0.0
     return float(defect.max())
 
 

@@ -23,8 +23,8 @@ from groupprox import (
     q_norm,
 )
 import groupprox.prox as prox_module
-from groupprox.prox import (_BLOCK, _BOUNDARY_RTOL, _d2log_x, _dlog_x,
-                            _log_psi_groups, _newton_roots)
+from groupprox.prox import (_BLOCK, _BOUNDARY_RTOL, _joint_pass,
+                            _newton_roots)
 
 GENERAL_QS = (1.25, 1.5, 1.75, 2.33, 3.0, 5.0)
 
@@ -142,6 +142,18 @@ def test_exact_zero_at_and_beyond_boundary(name):
         assert np.all(project(v, lam) == 0.0), lam
     assert np.all(project(np.zeros(3), 0.7) == 0.0)
     assert project(np.zeros(0), 0.7).shape == (0,)
+
+
+@pytest.mark.parametrize("name", ["l2", "linf", "general_q1.5", "general_q3"])
+def test_overflowing_dual_norm_is_not_zero(name):
+    # the dual norm of v overflows a double, but lies far above lam: the
+    # projection is about v
+    q, project = PROJECTIONS[name]
+    v = np.array([1.5e308, 1.5e308])
+    with np.errstate(over="ignore"):  # norms of v or of x may overflow
+        assert not is_zero_solution(v, 1.0, q)
+        x = project(v, 1.0)
+    np.testing.assert_allclose(x, v, rtol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["l2", "linf", "general_q1.5", "general_q3"])
@@ -405,66 +417,70 @@ class TestProxLqGeneral:
             prox_lq_general(np.array([1.0]), -0.5, 2.5)
 
 
-def outer_g(log_v, lam, q, u):
-    """G(u) = log(lam) + log(psi(u)) - u and the kernel's dG/du, one group."""
+def exact_pass(log_v, q, u):
+    """The kernel's pass over one group at its exact roots at u: the roots
+    log x, and the per-coordinate rows F, r, s and per-group sums."""
     n = log_v.size
     ug = np.full(n, u)
     log_x = _newton_roots(log_v, ug, q - 1.0)[0]
-    log_psi, dlog_psi = _log_psi_groups(log_x, np.array([0]), np.array([n]),
-                                        q, _dlog_x(log_x, ug, q))
-    return math.log(lam) + log_psi[0] - u, dlog_psi[0] - 1.0
+    # with r = s = 0 the pass leaves the roots where they are
+    coords, m = np.zeros((3, n)), np.empty((4, n))
+    sums = _joint_pass(log_x, log_v, ug, 0.0, log_x.max(), q, coords, m,
+                       np.array([0]))[0][:, 0]
+    return log_x, coords, sums
+
+
+def outer_g(log_v, lam, q, u):
+    """G(u) = log(lam) + log(psi(u)) - u at the exact roots, one group."""
+    log_x = exact_pass(log_v, q, u)[0]
+    log_psi = (1.0 - q) * math.log(q_norm(np.exp(log_x), q))
+    return math.log(lam) + log_psi - u
 
 
 class TestNewtonOuterStep:
     @pytest.mark.parametrize("q", [1.01, 1.5, 3.0, 5.0, 64.0])
     def test_slope_matches_central_difference(self, q):
-        # dG/du from the roots at u alone agrees with a central difference
-        # of G across the whole bracket, and lies in [-1, 0)
+        # at exact roots the pass's fall = <1 - (q-1)*s>, the x**q-weighted
+        # mean, is -dG/du: it agrees with a central difference of G across
+        # the whole bracket, and lies in (0, 1]
         v = np.abs(np.random.default_rng(1).standard_normal(50))
         log_v = np.log(v / v.max())
         lam = 0.5 * q_norm(np.exp(log_v), dual_exponent(q))
         lo, hi = np.log(c_interval(np.exp(log_v), 0.5, q))
         h = 1e-5
         for u in np.linspace(lo, hi, 5):
-            slope = outer_g(log_v, lam, q, u)[1]
-            central = (outer_g(log_v, lam, q, u + h)[0]
-                       - outer_g(log_v, lam, q, u - h)[0]) / (2.0 * h)
-            assert -1.0 <= slope < 0.0
-            assert abs(slope - central) <= 1e-8, (u, slope, central)
+            sums = exact_pass(log_v, q, u)[2]
+            fall = sums[3] / sums[0]
+            central = (outer_g(log_v, lam, q, u + h)
+                       - outer_g(log_v, lam, q, u - h)) / (2.0 * h)
+            assert 0.0 < fall <= 1.0
+            assert abs(fall + central) <= 1e-8, (u, fall, central)
 
     @pytest.mark.parametrize("q", [1.01, 1.5, 3.0, 5.0, 64.0])
     def test_root_derivatives_match_central_differences(self, q):
-        # the first and second derivatives of log x in u that move the
-        # final roots to the outer root
+        # the pass's s = F_u/F_t at exact roots is -d log x/du, with which
+        # the joint step moves log x along with u
         v = np.abs(np.random.default_rng(2).standard_normal(50))
         log_v = np.log(v / v.max())
         lo, hi = np.log(c_interval(np.exp(log_v), 0.5, q))
-
-        def log_x_and_slope(u):
-            ug = np.full(log_v.size, u)
-            log_x = _newton_roots(log_v, ug, q - 1.0)[0]
-            return log_x, _dlog_x(log_x, ug, q)
-
         # near q = 1, log x varies on the scale q - 1 in u
         h = 1e-5 * min(1.0, q - 1.0)
         for u in np.linspace(lo, hi, 5):
-            a = log_x_and_slope(u)[1]
-            (x0, a0), (x1, a1) = log_x_and_slope(u - h), log_x_and_slope(u + h)
-            for exact, central in ((a, (x1 - x0) / (2.0 * h)),
-                                   (_d2log_x(a, q), (a1 - a0) / (2.0 * h))):
-                np.testing.assert_allclose(exact, central, rtol=1e-6,
-                                           atol=1e-6 * np.abs(central).max())
+            s = exact_pass(log_v, q, u)[1][2]
+            central = (exact_pass(log_v, q, u + h)[0]
+                       - exact_pass(log_v, q, u - h)[0]) / (2.0 * h)
+            np.testing.assert_allclose(-s, central, rtol=1e-6,
+                                       atol=1e-6 * np.abs(central).max())
 
     @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
     def test_steps_and_passes_bounded(self, q):
-        # standard-normal v of 1e4 entries at half the dual norm: the
-        # Newton outer loop takes 4-5 steps and 23-31 inner passes here,
-        # the regula falsi loop it replaced 6-11 steps and 38-70 passes
+        # standard-normal v of 1e4 entries at half the dual norm: the joint
+        # Newton loop takes 4-13 passes here, the nested Newton loop it
+        # replaced 23-31 and the regula falsi loop before that 38-70
         for seed in range(3):
             v = np.random.default_rng(seed).standard_normal(10_000)
             _, diag = prox_lq_general(v, 0.5 * q_norm(v, dual_exponent(q)), q)
-            assert diag.outer_iters <= 5
-            assert diag.inner_iters_total <= 32
+            assert diag.inner_iters_total <= 16
 
     def test_long_first_step_does_not_stop_the_next(self):
         # the first step from the left end covers about 718 in u and the
@@ -475,6 +491,22 @@ class TestNewtonOuterStep:
         x, diag = prox_lq_general(v, 0.3 * q_norm(v, dual_exponent(q)), q)
         assert x[0] == pytest.approx(0.7, rel=1e-14)
         assert diag.residual <= 1e-14
+
+
+def test_seeded_sweep():
+    # 1,000 groups of 2-60 entries spread over 1e+-3, at q = 1 + 10**U(-6, 2)
+    # and lam 0.01-0.999 of the dual norm: none fails, the residual stays
+    # at rounding, and no projection takes over 30 passes (here at most 26,
+    # and 33 over 10,500 such groups, where the nested loop took 41 and 48)
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        q = 1.0 + 10.0 ** rng.uniform(-6.0, 2.0)
+        n = int(rng.integers(2, 61))
+        v = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        lam = rng.uniform(0.01, 0.999) * q_norm(v, dual_exponent(q))
+        _, diag = prox_lq_general(v, lam, q)
+        assert diag.inner_iters_total <= 30, (q, n)
+        assert diag.residual <= 1e-9 * np.abs(v).max(), (q, n)
 
 
 def spread_roots_input(rng, n, q, warm):
@@ -689,7 +721,7 @@ class TestProxGrouped:
         lam = 0.5 * q_norm(groups["normal"], dual_exponent(3.0))
         steps = {kind: prox_lq_general(g, lam, 3.0)[1].outer_iters
                  for kind, g in groups.items()}
-        assert steps["equal"] == 0 < min(steps["large"], steps["wide"])
+        assert steps["equal"] < min(steps["large"], steps["wide"])
         assert max(steps["large"], steps["wide"]) < steps["normal"]
 
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))

@@ -400,3 +400,28 @@ class TestSameAlgorithm:
         assert products.count("At") == res.iterations
         assert products.count("A") == 1 + len(trials)  # A x0, then one per trial
         assert partitions == []
+
+
+class TestMetamorphic:
+    """The solver commutes with relabelling the features, and with scaling
+    the targets and lam together (least squares is homogeneous in them)."""
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, math.inf])
+    def test_permuting_columns_permutes_w(self, q):
+        p = small_problem(seed=3, m=40, d=30, k=5, q=q)
+        perm = np.random.default_rng(4).permutation(30)
+        data = Dataset(p.data.design[:, perm], p.data.targets)
+        w = solve(p).W.values.reshape(30, 5)
+        wp = solve(Problem(data, p.kind, p.offsets, p.lam, q)).W.values
+        np.testing.assert_allclose(wp.reshape(30, 5), w[perm], rtol=0.0,
+                                   atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0, math.inf])
+    def test_scaling_targets_and_lambda_scales_w(self, q):
+        s = 1e3
+        p = small_problem(seed=3, m=40, d=30, k=5, q=q)
+        data = Dataset(p.data.design, s * p.data.targets)
+        w = solve(p).W.values
+        ws = solve(Problem(data, p.kind, p.offsets, s * p.lam, q)).W.values
+        np.testing.assert_allclose(ws / s, w, rtol=0.0,
+                                   atol=1e-12 * np.abs(w).max())
