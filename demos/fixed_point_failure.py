@@ -3,8 +3,11 @@
 The optimality condition x + lam*||x||_q^(1-q) * x^(q-1) = v suggests the
 naive update x <- v - lam*||x||_q^(1-q) * x^(q-1). For small lambda the map
 contracts and the iteration settles, but once lambda is large enough it
-oscillates between two points and never converges. The nested zero-finding
-solver is immune: it brackets the root of a scalar function and bisects.
+oscillates between two points and never converges. The zero-finding
+solver is immune: it takes Newton steps on the coordinates' roots and the
+outer root together, and keeps a certified bracket of the outer root that
+it falls back on (trying its right end, or bisecting) when a step does not
+shorten.
 
 Run:  python3 demos/fixed_point_failure.py
 """

@@ -4,7 +4,8 @@ The projection of v minimizes 0.5*||x - v||^2 + lam*||x||_q. This script
 walks through the closed forms (q = 1, 2, inf), the zero-solution boundary
 at lam = ||v||_qbar, the joint Newton iteration used for general q (on
 log c and the coordinates' logs together, safeguarded by a bracket of
-log c, exact solves for the coordinates and bisection), and the group-wise
+log c, passes that hold log c while the coordinates catch up, and
+bisection), and the group-wise
 dispatcher that applies all of this per group.
 
 Run:  python3 demos/projection_tour.py

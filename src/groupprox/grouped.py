@@ -129,7 +129,8 @@ def group_norms(values, offsets, q):
     offsets = np.asarray(offsets, dtype=np.intp)
     a = np.abs(np.asarray(values, dtype=float))
     m = np.maximum.reduceat(a, offsets[:-1])
-    return m * _unit_norms(a, m, offsets, q)
+    with np.errstate(over="ignore"):  # a norm past the doubles rounds to inf
+        return m * _unit_norms(a, m, offsets, q)
 
 
 def _unit_norms(a, m, offsets, q):

@@ -10,9 +10,11 @@ x_i of x + c*x**(q-1) = v_i, and the scalar c* that solves
 phi(c) = lam*psi(c) - c, psi aggregating the x_i. The kernel solves both
 at once, by Newton's method on t = log x and u = log c, one pass over the
 coordinates per step, safeguarded by a bracket of u certified at every
-step, by roots solved exactly at fixed u (Newton on log x, in which the
-inner equation is convex for every q > 1) and by bisection
-(_solve_positive_groups). For q < 2 one Newton step on x itself finishes
+step, by holding u while a group's roots catch up and by bisection
+(_solve_positive_groups). A pass that holds u is a Newton step on log x
+alone, in which the inner equation is convex for every q > 1, and it runs
+in the same pass as the groups that move u: one routine, _joint_pass,
+steps every root. For q < 2 one Newton step on x itself finishes
 the roots, since where x << v log x resolves only to about eps/(q-1). Each
 group is solved scaled to unit max-magnitude: the projection commutes with
 scaling (v, lam) -> (s*v, s*lam), which shifts u by (2-q)*log(s), so
@@ -21,12 +23,13 @@ rounding. The roots leave the log domain only in the caller's units, so a
 root that a double holds does not underflow for being tiny beside max|v|.
 
 No loop has a cap or a sweep tolerance: every step shortens the Newton
-step, makes the roots exact or shrinks the bracket. Over 10,500 random
-groups (q from 1 + 1e-6 to 101, 2 to 60 entries spread over 1e+-3, lam
-0.01 to 0.999 of the dual norm) a projection took a median of 8 passes
-over the vector, at most 33, in at most 14 steps. The per-coordinate work
-runs in contiguous blocks of _BLOCK coordinates, whose temporaries stay in
-cache and are reused, where those of a long group would be fresh pages.
+step, brings the roots nearer rounding or shrinks the bracket. Over
+10,500 random groups (q from 1 + 1e-6 to 101, 2 to 60 entries spread over
+1e+-3, lam 0.01 to 0.999 of the dual norm) a projection took a median of
+8 passes over the vector, at most 15, of which at most 12 moved u. The
+per-coordinate work runs in contiguous blocks of _BLOCK coordinates, whose
+temporaries stay in cache and are reused, where those of a long group
+would be fresh pages.
 Every entry point rejects inf and nan in v and a nan or negative lam, so
 the kernels only see finite magnitudes.
 
@@ -95,9 +98,10 @@ def _shrinkage(dual, lam):
     """The zero rule of every q > 1: eps = 1 - lam/dual per group of dual
     norm ``dual`` that projects to a nonzero vector, else 0. A dual norm
     that overflowed to inf lies above every finite lam, and lam = inf
-    projects every group to zero."""
-    return np.where(lam < (1.0 - _BOUNDARY_RTOL) * dual,
-                    1.0 - lam / np.where(dual > 0.0, dual, 1.0), 0.0)
+    projects every group to zero. The ratio is formed only where the group
+    is kept, so a subnormal dual norm does not overflow it."""
+    keep = lam < (1.0 - _BOUNDARY_RTOL) * dual
+    return np.where(keep, 1.0 - lam / np.where(keep, dual, 1.0), 0.0)
 
 
 class ProjectionError(RuntimeError):
@@ -183,10 +187,20 @@ def _prox_linf_groups(vals, offsets, lam):
     """
     a = np.abs(vals)
     sizes = np.diff(offsets)
-    outside = _shrinkage(np.add.reduceat(a, offsets[:-1]), lam) > 0.0
+    with np.errstate(over="ignore"):  # an l1 norm past the doubles is inf
+        l1 = np.add.reduceat(a, offsets[:-1])
+    outside = _shrinkage(l1, lam) > 0.0
+    # a group whose l1 norm overflows is thresholded in units of its
+    # largest magnitude, in which it does not
+    huge, outside = outside & (l1 == np.inf), outside & (l1 < np.inf)
     t = np.zeros(sizes.size)
     t[outside] = _l1_ball_thresholds(a[np.repeat(outside, sizes)],
                                      sizes[outside], lam)
+    if np.count_nonzero(huge):
+        top = np.maximum.reduceat(a, offsets[:-1])[huge]
+        t[huge] = top * _l1_ball_thresholds(
+            a[np.repeat(huge, sizes)] / np.repeat(top, sizes[huge]),
+            sizes[huge], lam / top)
     return np.sign(vals) * np.minimum(a, np.repeat(t, sizes)), t
 
 
@@ -269,71 +283,6 @@ def c_interval(v_abs, epsilon, q):
     return float(np.exp(log_c.min())), float(np.exp(log_c.max()))
 
 
-def _newton_step(t, log_v, a, e):
-    """F/F' for F(t) = log(w + p) - log(v), w = exp(t), p = exp(a + e*t).
-
-    Both terms are taken relative to v: from the cold bound down to the
-    root neither exceeds about 1, and at the root they sum to 1, so they
-    neither overflow nor lose F to cancellation. F' = (w + e*p)/(w + p).
-    Written in place, since this runs on a whole block in every pass.
-    """
-    w = t - log_v
-    np.exp(w, out=w)
-    p = e * t
-    p += a
-    p -= log_v
-    np.exp(p, out=p)
-    s = w + p
-    p *= e
-    p += w
-    np.log(s, out=w)
-    w *= s
-    w /= p
-    return w
-
-
-def _newton_roots(log_v, a, e, hint=None):
-    """Roots t = log(w) of w + exp(a)*w**e = v, elementwise, for e > 0.
-
-    Newton runs on t: F(t) = logaddexp(t, a + e*t) - log(v) is convex and
-    increasing for every e > 0, so iterates from an upper bound of the root
-    decrease monotonically towards it. A coordinate stops at the first step
-    that would not move it down or is no shorter than its previous step,
-    which it reaches at the rounding of F without a cap or a tolerance.
-
-    ``a`` is per coordinate. The start is the cold bound
-    min(log v, (log v - a)/e), an upper bound of the root, or ``hint``
-    where that is smaller; a hint below the root steps above it at once,
-    by convexity, and is clipped to the cold bound. The roots are written
-    over ``hint`` when it is given. Returns (t, passes); ``passes`` counts
-    the evaluations of F, each a pass over the vector. A stopped
-    coordinate stays stopped, so a solve over any slice gives the same
-    roots bit for bit, in as many passes as its slowest coordinate needs.
-    """
-    # a start at +inf is the cold bound
-    t = np.full_like(log_v, np.inf) if hint is None else hint
-    cold = np.minimum(log_v, (log_v - a) / e)
-    np.minimum(t, cold, out=t)
-    # a start at -inf (a zero hint) steps to nan, which fmin replaces
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t -= _newton_step(t, log_v, a, e)
-    np.fmin(t, cold, out=t)
-    del cold
-    last, passes = np.inf, 1
-    while True:
-        d = _newton_step(t, log_v, a, e)
-        passes += 1
-        move = t - d < t
-        move &= d < last
-        if not np.count_nonzero(move):
-            return t, passes
-        # zero the steps of stopped coordinates, so that they stay stopped
-        # (d is finite: after the first step every iterate is above the root)
-        d *= move
-        t -= d
-        last = d
-
-
 def _newton_polish(x, v, log_c, q):
     """One Newton step on h(x) = x + c*x**(q-1) - v, for 1 < q < 2.
 
@@ -371,14 +320,11 @@ def phi(c, v_abs, lam, q):
     if c == 0.0:
         return lam * math.exp((1.0 - q) * math.log(q_norm(v_abs, q)))
     log_s = math.log(v_abs.max())
-    log_v = np.log(v_abs) - log_s
-    u = np.full(v_abs.size, math.log(c) + (q - 2.0) * log_s)
-    log_x = _newton_roots(log_v, u, q - 1.0)[0]
-    # log psi = (1-q)*top + ((1-q)/q)*log(sum of (x/e**top)**q)
-    top = log_x.max()
-    w_sum = _joint_pass(log_x, log_v, u, 0.0, top, q, np.zeros((3, u.size)),
-                        np.empty((4, u.size)), np.array([0]))[0][0, 0]
-    log_psi = (1.0 - q) * (top + math.log(w_sum) / q)
+    u = math.log(c) + (q - 2.0) * log_s
+    w_sum = _roots_at(np.log(v_abs) - log_s, u, q)[2][0]
+    # log psi = (1-q)*top + ((1-q)/q)*log(sum of (x/e**top)**q), with the
+    # kernel's top, -max(u, 0)/(q-1)
+    log_psi = (1.0 - q) * (-max(u, 0.0) / (q - 1.0) + math.log(w_sum) / q)
     return lam * math.exp(log_psi + (1.0 - q) * log_s) - c
 
 
@@ -402,7 +348,8 @@ def _blocks(sizes, arrays, scratch):
 def _joint_pass(t, log_v, u, du, top, q, coords, m, starts):
     """One pass of the joint Newton step over groups that begin at
     ``starts``; ``u``, its step ``du`` and ``top`` (at least the group's
-    largest t) are per coordinate. Moves t by -(r + s*du), clipped to the
+    largest t) are per coordinate, or scalars for one group. Moves t by
+    -(r + s*du), a plain Newton step on t where du = 0, clipped to the
     cold bound at u, then writes F = logaddexp(t, u + (q-1)*t) - log v,
     r = F/F_t and s = F_u/F_t into ``coords``, and the weights
     (x/e**top)**q and their products with F, r and 1 - (q-1)*s into ``m``.
@@ -438,6 +385,22 @@ def _joint_pass(t, log_v, u, du, top, q, coords, m, starts):
             np.maximum.reduceat(coords[1:], starts, axis=1))
 
 
+def _roots_at(log_v, u, q):
+    """The roots t = log x of one group at a fixed u, its log-magnitudes at
+    most 0: passes at du = 0 from the cold bound, each a Newton step on t,
+    until the largest r stops shrinking, the rule by which a group the
+    kernel holds at u reaches rounding. Returns t, and the rows F, r, s
+    and the group's sums of the last pass (with the kernel's top)."""
+    t = np.full(log_v.size, np.inf)
+    coords, m, last = np.zeros((3, t.size)), np.empty((4, t.size)), np.inf
+    while True:
+        sums, most = _joint_pass(t, log_v, u, 0.0, -max(u, 0.0) / (q - 1.0),
+                                 q, coords, m, np.array([0]))
+        if not most[0, 0] < last:
+            return t, coords, sums[:, 0]
+        last = most[0, 0]
+
+
 def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
                            groups):
     """Both roots of every group at once: Newton on (log x, log c).
@@ -458,24 +421,37 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
     stays at or above the roots: G is at most its value there and, log psi
     being concave and F_t >= min(1, q-1), G + max(1, q-1)*<F> at least.
     Their signs move the ends of the bracket of u, from whose left end the
-    search starts. At exact roots (_newton_roots) G alone decides, and
-    du = G/fall. A Newton point in the bracket is taken if its step is
-    shorter than the last, or half of it where it steps back; otherwise a
-    group solves its roots exactly at u, or, where they are exact, tries
-    the bracket's right end once (where the root lies when that bound is
-    tight) or bisects. Every step shortens the Newton step, makes the roots
-    exact or shrinks the bracket, so the loop ends. A group finishes at
-    x = t + dt once its step moves u, times max s, and every log x by at
-    most step_tol; or, from exact roots, at the Newton point with its roots
-    solved there, once its bracket is within _OUTER_TOL or G is zero to its
-    rounding; or at once, if its bracket is a point. Returns (x, u_star,
-    steps, passes) in the caller's units.
+    search starts. Once the largest r of a group held at u stops
+    shrinking, its roots are at rounding, and so is F but for the rounding
+    of t, which q-1 and the weights amplify past any margin at large q: G
+    alone decides there.
+
+    A Newton point in the bracket is taken if its step is shorter than the
+    last, or half of it where it steps back. Otherwise the group holds u:
+    its next passes take du = 0, a plain Newton step t -= r, in the same
+    passes as the groups that move. Once the sign of G at u is decided, a
+    held group takes the Newton point at any length if it lies in the
+    bracket, or else tries the bracket's right end once (where the root
+    lies when that bound is tight) or bisects. A group whose bracket is
+    within _OUTER_TOL, or whose G is zero to its rounding, goes to the
+    clipped Newton point, closes its bracket there and holds; a bracket
+    that is a point from the start (q = 2, equal magnitudes or one nonzero
+    entry) holds throughout, and passes in which every bracket is a point
+    decide nothing. Every step shortens the Newton step, brings the roots
+    nearer rounding or shrinks the bracket, so the loop ends.
+
+    A group finishes at x = t + dt, dt = -(r + s*du) taken to the clipped
+    Newton point, once every r is at most step_tol (or u's resolution, or
+    stops shrinking at u) and the Newton step moves u, times max s, by as
+    little; for a group near its root, the step to the clipped point. A
+    group whose G is certainly below zero at the left end of its bracket
+    raises ProjectionError. Returns (x, u_star, steps, passes) in the
+    caller's units; steps counts the passes that move u.
     """
     e = q - 1.0
     log_lam = math.log(lam) - log_scale
-    # log x, and F, r, s: with r = s = 0, step one takes t to its cold bound
-    t = np.full(log_v.size, np.inf)
-    coords = np.zeros((3, log_v.size))
+    # log x, and F, r, s: with r = s = 0, pass one takes t to its cold bound
+    t, coords = np.full(log_v.size, np.inf), np.zeros((3, log_v.size))
     work = np.empty((4, min(log_v.size, _BLOCK)))
     gid, starts, blocks = _blocks(sizes, (t, log_v, coords), work)
     # the candidates are log-linear in log v, so its extremes give theirs
@@ -484,34 +460,99 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
         np.log(eps), log_lam - np.log(dual), q), axis=0)
     ulp = np.spacing(np.maximum(hi, -lo))  # u's resolution in the bracket
     u, du = lo.copy(), np.zeros(sizes.size)
-    last = np.full(sizes.size, np.inf)  # the last step taken
-    # a bracket that is a point (q = 2, equal magnitudes or one nonzero
-    # entry) holds the root: its roots are solved exactly there, and done
-    exact = fix = done = lo == hi
-    n_fix = n_done = np.count_nonzero(fix)
+    # the last step taken, and the largest r of the last pass
+    last, last_r = np.full((2, sizes.size), np.inf)
+    # the next pass keeps u, as every pass does where the bracket is a
+    # point (q = 2, equal magnitudes or one nonzero entry)
+    hold = lo == hi
     open_hi = np.ones(sizes.size, dtype=bool)  # hi not yet tried
     scale = np.array([[1.0], [max(1.0, e)], [e], [1.0]])
     # a step leaves K*step**2, K <= (q-2)**2/(8*min(1, q-1)) for the roots
     step_tol = math.sqrt(8.0 * _EPS / max(1.0, (q - 2.0)**2 / min(1.0, e)))
     x_out, u_out = np.empty(log_v.size), np.empty(sizes.size)
     live_c, live_g = np.arange(log_v.size), np.arange(sizes.size)
-    steps = passes = 0
+    steps, passes, held = 0, 0, np.count_nonzero(hold)
     while True:
-        if n_fix:
-            # exact roots at u from t, above them; r = du = 0 keep them there
-            every = n_fix == sizes.size
-            sel = slice(None) if every else np.flatnonzero(fix[gid])
-            ts, lvs, gs = t[sel], log_v[sel], gid[sel]
-            slowest = 0
-            for i in range(0, ts.size, _BLOCK):
-                b = slice(i, i + _BLOCK)
-                slowest = max(slowest,
-                              _newton_roots(lvs[b], u[gs[b]], e, ts[b])[1])
-            passes += slowest
-            if not every:
-                t[sel] = ts
-            coords[1, sel] = 0.0
-            du *= ~fix
+        # one pass; the cold bound of the largest entry, -max(u, 0)/(q-1),
+        # bounds every t of its group and stands in for the largest
+        passes += 1
+        top = np.maximum(u, 0.0) * (-1.0 / e)
+        sums = [_joint_pass(tb, lv, u[gb], du[gb], top[gb], q, cb, m, ls)
+                for gb, tb, lv, cb, m, ls, _ in blocks]
+        if len(blocks) == 1:
+            (acc, most), = sums
+        else:
+            acc, most = np.zeros((4, sizes.size)), np.zeros((2, sizes.size))
+            for (part, peak), (*_, ls, g0) in zip(sums, blocks):
+                acc[:, g0:g0 + ls.size] += part
+                mg = most[:, g0:g0 + ls.size]
+                np.maximum(mg, peak, out=mg)
+        # the step moves each log x by at most max(r) + max(s)*|du|
+        sens = np.maximum(most[1], 1.0)
+        tol = np.maximum(step_tol / sens, ulp)
+        # at u, an r that stops shrinking is at its rounding
+        stalled = hold & (most[0] >= last_r) if held else hold
+        settled = (most[0] <= tol * sens) | stalled
+        last_r = most[0]
+        if held == sizes.size and (lo == hi).all():
+            # every bracket is a point: the groups only wait for their roots
+            done, du = settled, np.zeros_like(du)
+        else:
+            # (1-q)*top - u is -min(u, 0)
+            g = log_lam - (e / q) * np.log(acc[0]) - np.minimum(u, 0.0)
+            acc *= scale
+            acc /= acc[0]
+            np.maximum(acc[1], 0.0, out=acc[1])  # F >= 0, but for rounding
+            upper, num = g + acc[1:3]
+            # F is at its rounding too where r is, but for t's rounding,
+            # which q-1 and the weights amplify: G alone decides there
+            upper = np.where(stalled, g, upper) if held else upper
+            above, below = g >= 0.0, upper < 0.0
+            lo, hi = np.where(above, u, lo), np.where(below, u, hi)
+            du = num / acc[3]
+            newton = u + du
+            # fmax and fmin take the bracket end over a nan Newton point
+            clipped = np.fmin(np.fmax(newton, lo), hi)
+            done = settled & (np.abs(du) <= tol)
+            u_new = clipped  # where every group finishes
+            if np.count_nonzero(done) < sizes.size:
+                # G, a difference of terms of the size of u, is zero to its
+                # rounding
+                near = ((hi - lo <= np.maximum(_OUTER_TOL / sens, ulp))
+                        | (np.abs(num) <= (4.0 * _EPS) * np.abs(u)))
+                take = ((clipped == newton) & ~near
+                        & (np.abs(du / last - 0.25) < 0.75))
+                if held:
+                    take &= above | below | ~hold
+                elif np.count_nonzero(take & ~settled) == sizes.size:
+                    u, last, steps = newton, du, steps + 1
+                    continue
+                # G < 0 beyond rounding at the left end: that end was wrong
+                bad = np.flatnonzero((upper < -1e-6) & (u == lo))
+                if bad.size:
+                    b = int(bad[0])
+                    with np.errstate(over="ignore"):
+                        c = np.exp([lo[b], hi[b]] + (2.0 - q) * log_scale[b])
+                    raise ProjectionError(
+                        "phi endpoint signs inconsistent",
+                        epsilon=float(eps[live_g[b]]), c_low=float(c[0]),
+                        c_high=float(c[1]), phi_low=float(g[b]),
+                        group=int(groups[live_g[b]]))
+                # near its root, the step that counts is the clipped one
+                done |= settled & near & (np.abs(clipped - u) <= tol)
+                # a held group whose sign is decided tries hi once or bisects
+                move = hold & (above | below) & ~(take | near | done)
+                open_hi &= u < hi
+                u_new = np.where(take | near | done, clipped, np.where(
+                    move, np.where(open_hi & (newton >= hi), hi,
+                                   0.5 * (lo + hi)), u))
+                # a group near its root goes to the clipped Newton point,
+                # where its bracket closes, and holds there
+                lo, hi = np.where(near, u_new, [lo, hi])
+                hold = ~(take | move | done)
+            du, u = u_new - u, u_new
+            last = np.where(hold, np.inf, du)
+        n_done = np.count_nonzero(done)
         if n_done:
             every = n_done == sizes.size
             fin = gid if every else np.flatnonzero(done[gid])
@@ -531,88 +572,21 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
                     x_out[live_c[f]] = x * (np.exp(mid) * np.exp(log_scale)[gf])
                 else:
                     x_out[live_c[f]] = np.exp(lx + log_scale[gf])
-            if q < 2.0:
-                passes += 1
+            passes += q < 2.0
             u_out[live_g[done]] = u[done] + (2.0 - q) * log_scale[done]
             if every:
                 return x_out, u_out, steps, passes
             keep, keep_c = ~done, ~done[gid]
-            (u, du, lo, hi, ulp, last, exact, open_hi, log_lam, log_scale,
-             sizes, live_g) = (a[keep] for a in (
-                 u, du, lo, hi, ulp, last, exact, open_hi, log_lam,
+            (u, du, lo, hi, ulp, last, last_r, hold, open_hi, log_lam,
+             log_scale, sizes, live_g) = (a[keep] for a in (
+                 u, du, lo, hi, ulp, last, last_r, hold, open_hi, log_lam,
                  log_scale, sizes, live_g))
             t, log_v, live_c = t[keep_c], log_v[keep_c], live_c[keep_c]
             coords = coords[:, keep_c]
             gid, _, blocks = _blocks(sizes, (t, log_v, coords), work)
-        # one pass; the cold bound of the largest entry, -max(u, 0)/(q-1),
-        # bounds every t of its group and stands in for the largest
-        steps += 1
-        passes += 1
-        pos = np.maximum(u, 0.0)
-        top = pos * (-1.0 / e)
-        sums = [_joint_pass(tb, lv, u[gb], du[gb], top[gb], q, cb, m, ls)
-                for gb, tb, lv, cb, m, ls, _ in blocks]
-        if len(blocks) == 1:
-            (acc, most), = sums
-        else:
-            acc, most = np.zeros((4, sizes.size)), np.zeros((2, sizes.size))
-            for (part, peak), (*_, ls, g0) in zip(sums, blocks):
-                acc[:, g0:g0 + ls.size] += part
-                mg = most[:, g0:g0 + ls.size]
-                np.maximum(mg, peak, out=mg)
-        # (1-q)*top - u is -min(u, 0)
-        g = log_lam - (e / q) * np.log(acc[0]) - (u - pos)
-        acc *= scale
-        acc /= acc[0]
-        fall = acc[3]
-        np.maximum(acc[1], 0.0, out=acc[1])  # F >= 0, but for rounding
-        upper, num = g + ~exact * acc[1:3]
-        lo = np.where(g >= 0.0, u, lo)
-        hi = np.where(upper < 0.0, u, hi)
-        du = num / fall
-        newton = u + du
-        # fmax and fmin take the bracket end over a nan Newton point
-        clipped = np.fmin(np.fmax(newton, lo), hi)
-        # the step moves each log x by at most max(r) + max(s)*|du|
-        length = np.abs(du)
-        sens = np.maximum(most[1], 1.0)
-        small = (np.maximum(length, most[0] / sens)
-                 <= np.maximum(step_tol / sens, ulp))
-        if np.count_nonzero(small) == sizes.size:
-            du, u = clipped - u, clipped
-            n_fix, n_done, done = 0, sizes.size, small
-            continue
-        # G, a difference of terms of the size of u, is zero to its rounding
-        near = (small | (hi - lo <= np.maximum(_OUTER_TOL / sens, ulp))
-                | (np.abs(num) <= (4.0 * _EPS) * np.abs(u)))
-        take = ((clipped == newton) & (np.abs(du / last - 0.25) < 0.75)
-                & ~near)
-        if np.count_nonzero(take) == sizes.size:
-            u, last, exact, n_fix, n_done = newton, du, ~take, 0, 0
-            continue
-        done = small | near & exact
-        bad = np.flatnonzero(done & exact & (g < -1e-6))
-        if bad.size:
-            # G < 0 at exact roots beyond rounding: the left end was wrong
-            b = int(bad[0])
-            with np.errstate(over="ignore"):
-                c = np.exp(np.array([lo[b], hi[b]]) + (2.0 - q) * log_scale[b])
-            raise ProjectionError(
-                "phi endpoint signs inconsistent",
-                epsilon=float(eps[live_g[b]]), c_low=float(c[0]),
-                c_high=float(c[1]), phi_low=float(g[b]),
-                group=int(groups[live_g[b]]))
-        open_hi &= u < hi
-        u_new = np.where(take | done, clipped, np.where(exact, np.where(
-            open_hi & (newton >= hi), hi, 0.5 * (lo + hi)), u))
-        exact = ~(exact | take | done)
-        du = u_new - u
-        last = np.where(exact, np.inf, du)
-        u = u_new
-        # those that stay solve their roots exactly, and so do those that
-        # finish by their bracket or G's rounding, at the Newton point
-        fix = exact | done & ~small
-        n_fix, n_done = np.count_nonzero(fix), np.count_nonzero(done)
+        # the next pass moves u if any du is nonzero
+        steps += bool(np.count_nonzero(du))
+        held = np.count_nonzero(hold)
 
 
 def _prox_lq_groups(vals, offsets, lam, q):
@@ -630,7 +604,9 @@ def _prox_lq_groups(vals, offsets, lam, q):
     top = np.maximum.reduceat(a, offsets[:-1])
     # the dual norm in units of top, in which it does not overflow
     dual = _unit_norms(a, top, offsets, dual_exponent(q))
-    eps = _shrinkage(dual, lam / np.where(top > 0.0, top, 1.0))
+    # lam in units of a subnormal top may overflow to inf, above every dual
+    with np.errstate(over="ignore"):
+        eps = _shrinkage(dual, lam / np.where(top > 0.0, top, 1.0))
     nonzero = vals != 0.0
     nnz = np.add.reduceat(nonzero, offsets[:-1], dtype=np.intp)
     out = np.zeros_like(vals)

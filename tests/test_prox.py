@@ -23,8 +23,7 @@ from groupprox import (
     q_norm,
 )
 import groupprox.prox as prox_module
-from groupprox.prox import (_BLOCK, _BOUNDARY_RTOL, _joint_pass,
-                            _newton_roots)
+from groupprox.prox import _BLOCK, _BOUNDARY_RTOL, _roots_at
 
 GENERAL_QS = (1.25, 1.5, 1.75, 2.33, 3.0, 5.0)
 
@@ -154,6 +153,26 @@ def test_overflowing_dual_norm_is_not_zero(name):
         assert not is_zero_solution(v, 1.0, q)
         x = project(v, 1.0)
     np.testing.assert_allclose(x, v, rtol=1e-14)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, math.inf])
+def test_subnormal_group_projects_to_zero(q):
+    # lam over the group's subnormal dual norm overflows a double; the
+    # group is zeroed without forming that ratio, so nothing warns
+    out = prox_grouped(GroupedVector([2.2e-313, 0.0], [0, 2]), 1.0, q)
+    np.testing.assert_array_equal(out.values, 0.0)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, math.inf])
+def test_norm_past_the_doubles_reads_inf(q):
+    # the lq-norm of the result exceeds the largest double at q < inf: the
+    # norms output holds inf, its correctly rounded value, without a warning
+    v = np.array([1.5e308, 1.5e308])
+    norms = np.empty(1)
+    out = prox_grouped(GroupedVector(v, [0, 2]), 1.0, q, norms).values
+    np.testing.assert_allclose(out, v, rtol=1e-14)
+    assert norms[0] == (math.inf if q < math.inf else out[0])
+    np.testing.assert_allclose(prox_l2(v, 1.0), v, rtol=1e-14)
 
 
 @pytest.mark.parametrize("name", ["l2", "linf", "general_q1.5", "general_q3"])
@@ -354,10 +373,10 @@ class TestProxLqGeneral:
         (np.linspace(0.001, 1.0, 1000), 64.0),
     ])
     def test_inner_sweeps_bounded_without_cap(self, v, q):
-        # one inner Newton solve per outer step plus the one at the left
-        # end, each ending within 16 passes, plus one polishing pass for
-        # q < 2 (the worst solve here, a warm one at q = 1 + 1e-6, takes
-        # 16; over 13,500 random groups the worst took 15)
+        # the passes that hold u while the roots catch up, between the
+        # steps that move it, stay within 16 per step, plus one polishing
+        # pass for q < 2 (here at most 18 passes in all, over 9 steps at
+        # q = 1 + 1e-6)
         v = np.asarray(v)
         lam = 0.5 * q_norm(v, dual_exponent(q))
         x, diag = prox_lq_general(v, lam, q)
@@ -420,14 +439,7 @@ class TestProxLqGeneral:
 def exact_pass(log_v, q, u):
     """The kernel's pass over one group at its exact roots at u: the roots
     log x, and the per-coordinate rows F, r, s and per-group sums."""
-    n = log_v.size
-    ug = np.full(n, u)
-    log_x = _newton_roots(log_v, ug, q - 1.0)[0]
-    # with r = s = 0 the pass leaves the roots where they are
-    coords, m = np.zeros((3, n)), np.empty((4, n))
-    sums = _joint_pass(log_x, log_v, ug, 0.0, log_x.max(), q, coords, m,
-                       np.array([0]))[0][:, 0]
-    return log_x, coords, sums
+    return _roots_at(log_v, u, q)
 
 
 def outer_g(log_v, lam, q, u):
@@ -475,8 +487,9 @@ class TestNewtonOuterStep:
     @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
     def test_steps_and_passes_bounded(self, q):
         # standard-normal v of 1e4 entries at half the dual norm: the joint
-        # Newton loop takes 4-13 passes here, the nested Newton loop it
-        # replaced 23-31 and the regula falsi loop before that 38-70
+        # Newton loop takes 4-7 passes here (4-13 while it solved the roots
+        # of a group at a fixed u apart), the nested Newton loop before it
+        # 23-31 and the regula falsi loop before that 38-70
         for seed in range(3):
             v = np.random.default_rng(seed).standard_normal(10_000)
             _, diag = prox_lq_general(v, 0.5 * q_norm(v, dual_exponent(q)), q)
@@ -496,8 +509,9 @@ class TestNewtonOuterStep:
 def test_seeded_sweep():
     # 1,000 groups of 2-60 entries spread over 1e+-3, at q = 1 + 10**U(-6, 2)
     # and lam 0.01-0.999 of the dual norm: none fails, the residual stays
-    # at rounding, and no projection takes over 30 passes (here at most 26,
-    # and 33 over 10,500 such groups, where the nested loop took 41 and 48)
+    # at rounding, and no projection takes over 30 passes (here at most 15,
+    # and 15 over 10,500 such groups; 26 and 33 while the roots of a group
+    # at a fixed u were solved apart, 41 and 48 for the nested loop)
     rng = np.random.default_rng(7)
     for _ in range(1000):
         q = 1.0 + 10.0 ** rng.uniform(-6.0, 2.0)
@@ -509,40 +523,7 @@ def test_seeded_sweep():
         assert diag.residual <= 1e-9 * np.abs(v).max(), (q, n)
 
 
-def spread_roots_input(rng, n, q, warm):
-    """log v, u and a hint for _newton_roots on n coordinates whose
-    magnitudes and u spread widest mid-vector, so that the blocks of the
-    inner solve need different numbers of passes, the last the fewest; the
-    hint is the roots at a nearby u."""
-    spread = 100.0 * (1.0 - np.abs(np.linspace(-1.0, 1.0, n)))
-    log_v = np.log(np.abs(rng.standard_normal(n))) + rng.uniform(-1, 1, n) * spread
-    log_v -= log_v.max()
-    u = rng.uniform(-1.0, 1.0, n) * spread
-    hint = (_newton_roots(log_v, u + rng.normal(0.0, 0.3, n), q - 1.0)[0]
-            if warm else None)
-    return log_v, u, hint
-
-
 class TestBlockedInnerSolve:
-    @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_blocks_are_bit_identical_to_slices_and_whole_solve(self, q, warm):
-        # the outer step solves block by block: solves over two full blocks
-        # and a ragged tail give the roots and the pass count of one solve
-        # over the whole vector
-        n = 40_000
-        log_v, u, hint = spread_roots_input(np.random.default_rng(7), n, q, warm)
-
-        def start(i, j):  # _newton_roots writes its roots over the hint
-            return None if hint is None else hint[i:j].copy()
-
-        t, passes = _newton_roots(log_v, u, q - 1.0, start(0, n))
-        cuts = [0, _BLOCK, 2 * _BLOCK, n]
-        pieces = [_newton_roots(log_v[i:j], u[i:j], q - 1.0, start(i, j))
-                  for i, j in zip(cuts[:-1], cuts[1:])]
-        np.testing.assert_array_equal(t, np.concatenate([p[0] for p in pieces]))
-        assert passes == max(p[1] for p in pieces)
-
     @pytest.mark.parametrize("q", [1.5, 3.0, 5.0])
     def test_groups_straddling_blocks_match_per_group(self, q):
         # block edges at 16,384 and 32,768 fall inside the second and the
@@ -799,6 +780,21 @@ class TestProxLinfBatched:
                        for lo, hi in zip(offsets[:-1], offsets[1:])])
         tol = 64.0 * np.finfo(float).eps * np.repeat(l1, np.diff(offsets))
         assert np.all(np.abs(batched - linf_loop(v, offsets, lam)) <= tol)
+
+    def test_l1_norm_past_the_doubles(self):
+        # the first group's l1 norm overflows a double; its threshold is
+        # found in units of its largest magnitude, so the answer is that of
+        # the call on (v/1e308, lam/1e308) scaled back, and the other group
+        # is thresholded as alone
+        v = np.array([1.7e308, 1.7e308, 1e300, 3.0, -1.0])
+        norms = np.empty(2)
+        out = prox_grouped(GroupedVector(v, [0, 3, 5]), 1.0, math.inf, norms)
+        scaled = prox_linf(v[:3] / 1e308, 1.0 / 1e308) * 1e308
+        np.testing.assert_allclose(out.values[:3], scaled, rtol=1e-14)
+        np.testing.assert_array_equal(out.values[3:], prox_linf(v[3:], 1.0))
+        np.testing.assert_array_equal(norms, [out.values[0], 2.0])
+        np.testing.assert_allclose(prox_linf(v[:3], 1e307),
+                                   [1.65e308, 1.65e308, 1e300], rtol=1e-14)
 
 
 class TestOptimalityResidual:

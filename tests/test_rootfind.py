@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupprox import l1_ball_threshold
-from groupprox.prox import _newton_polish, _newton_roots
+from groupprox.prox import _newton_polish, _roots_at
 
 
 def h_residual(x, v, c, q):
@@ -14,67 +14,46 @@ def h_residual(x, v, c, q):
     return x + c * x ** (q - 1.0) - v
 
 
-def inner_root(v, c, q, hint=None):
-    """(root in (0, v) of h, passes), as the general-q kernel computes them:
-    Newton on log x, from ``hint`` where that is smaller than the cold
-    upper bound."""
-    log_v, u = np.log(np.array([v])), np.array([math.log(c)])
-    with np.errstate(divide="ignore"):
-        log_hint = None if hint is None else np.log(np.array([hint]))
-    t, passes = _newton_roots(log_v, u, q - 1.0, log_hint)
-    return math.exp(t[0]), passes
+def inner_root(v, c, q):
+    """Root in (0, v) of h, as the general-q kernel computes it for a group
+    it holds at u = log c: Newton on log x from the cold upper bound, in
+    units of v, which shift u by (q-2)*log(v)."""
+    u = math.log(c) + (q - 2.0) * math.log(v)
+    return v * math.exp(_roots_at(np.zeros(1), u, q)[0][0])
 
 
 class TestInnerRoots:
     def test_q2_linear(self):
         # x + x = 2
-        assert inner_root(2.0, 1.0, 2.0)[0] == pytest.approx(1.0, abs=1e-12)
+        assert inner_root(2.0, 1.0, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_golden_section_root(self):
         # x**2 + x - 1 = 0, positive root (sqrt(5)-1)/2
         expected = (math.sqrt(5.0) - 1.0) / 2.0
-        assert inner_root(1.0, 1.0, 3.0)[0] == pytest.approx(expected, abs=1e-12)
+        assert inner_root(1.0, 1.0, 3.0) == pytest.approx(expected, abs=1e-12)
 
     def test_sqrt_branch(self):
         # x + 0.5*sqrt(x) = 3: u = sqrt(x) solves u**2 + 0.5u - 3 = 0,
         # u = 1.5, so x = 2.25 exactly
-        root = inner_root(3.0, 0.5, 1.5)[0]
+        root = inner_root(3.0, 0.5, 1.5)
         assert root == pytest.approx(2.25, abs=1e-12)
         assert h_residual(2.25, 3.0, 0.5, 1.5) == 0.0
 
     def test_root_inside_open_interval(self):
         for v, c, q in [(5.0, 2.0, 2.5), (0.3, 10.0, 1.2), (7.0, 0.01, 6.0)]:
-            x = inner_root(v, c, q)[0]
+            x = inner_root(v, c, q)
             assert 0.0 < x < v
 
     def test_decreasing_in_c(self):
-        roots = [inner_root(2.0, c, 3.0)[0] for c in (0.1, 1.0, 10.0, 100.0)]
+        roots = [inner_root(2.0, c, 3.0) for c in (0.1, 1.0, 10.0, 100.0)]
         assert all(b < a for a, b in zip(roots, roots[1:]))
-
-    def test_hint_agrees_with_cold_start(self):
-        # a bound just above the root starts Newton closer than the cold
-        # bound and ends at the same root
-        for q in (1.5, 2.5):
-            cold, cold_passes = inner_root(2.0, 1.5, q)
-            warm, warm_passes = inner_root(2.0, 1.5, q, hint=cold * (1.0 + 1e-4))
-            assert warm == pytest.approx(cold, abs=1e-12)
-            assert warm_passes <= cold_passes
-
-    def test_stale_hint_falls_back(self):
-        # a hint below the root is no upper bound: the first Newton step
-        # leaves it for a point above the root, and the answer is unchanged
-        for q in (1.5, 2.5):
-            cold, _ = inner_root(2.0, 1.5, q)
-            for below in (0.5, 1e-300, 0.0):
-                warm, _ = inner_root(2.0, 1.5, q, hint=below * cold)
-                assert warm == pytest.approx(cold, abs=1e-12)
 
     @given(st.floats(0.1, 10.0), st.floats(0.01, 50.0), st.floats(1.05, 8.0))
     @settings(max_examples=100, deadline=None)
     def test_root_bracketed_within_delta(self, v, c, q):
         # h is increasing, so the true root must lie inside
         # [x - 2*delta, x + 2*delta]
-        x = inner_root(v, c, q)[0]
+        x = inner_root(v, c, q)
         pad = 2e-8
         assert h_residual(max(x - pad, 0.0), v, c, q) <= 1e-12 * (1.0 + v + c)
         assert h_residual(min(x + pad, v), v, c, q) >= -1e-12 * (1.0 + v + c)
@@ -89,7 +68,7 @@ class TestNewtonPolish:
 
     def test_sharpens_a_perturbed_root(self):
         # one step squares the relative error: 1e-7 goes to about 1e-15
-        exact = inner_root(2.0, 1.5, 1.5)[0]
+        exact = inner_root(2.0, 1.5, 1.5)
         x = _newton_polish(np.array([exact * (1.0 + 1e-7)]),
                            np.array([2.0]), math.log(1.5), 1.5)
         assert float(x[0]) == pytest.approx(exact, rel=1e-14)
