@@ -26,15 +26,13 @@ from .experiments import (
 from .grouped import GroupedVector
 from .losses import Dataset, LossKind, row_group_offsets
 from .oracle import OracleFailure, fixed_point_trace
-from .prox import ProjectionError, optimality_residual, prox_grouped, prox_lq_general
+from .prox import ProjectionError, prox_grouped, prox_lq_general
 from .solver import NumericalFailure, Problem, SolverConfig, solve
 
 __all__ = ["main"]
 
 
 def _parse_q(text):
-    if text in ("inf", "Inf", "infinity"):
-        return math.inf
     q = float(text)
     if not q >= 1:
         raise ValueError(f"q must be at least 1, got {text}")
@@ -120,11 +118,8 @@ def _cmd_solve(args):
     problem = Problem(data, kind, np.asarray(offsets, dtype=np.intp), lam, q)
     cfg = SolverConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
     res = solve(problem, cfg)
-    w = problem.matrix(res.W)
-    if args.out and args.out != "-":
-        _write_matrix(args.out, w)
-    else:
-        np.savetxt(sys.stdout, w, delimiter=",", fmt="%.17g")
+    with _output(args.out) as fh:
+        _write_matrix(fh, problem.matrix(res.W))
     print(
         f"iterations={res.iterations} objective={float(res.objective_history.min())!r} "
         f"converged={res.converged}",

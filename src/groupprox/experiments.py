@@ -14,7 +14,7 @@ import numpy as np
 from .grouped import dual_exponent, q_norm
 from .losses import Dataset, LossKind, row_group_offsets
 from .prox import prox_lq_general
-from .solver import SolverConfig, _warm_path, lambda_max, solve
+from .solver import SolverConfig, _checked_ratios, _warm_path, lambda_max
 
 __all__ = [
     "ExperimentConfig",
@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 
-def default_ratios(n=100, base=0.9):
-    """The standard ratio schedule base**0, base**1, ..., base**(n-1)."""
-    return base ** np.arange(n)
+def default_ratios(n=100):
+    """The standard ratio schedule 0.9**0, 0.9**1, ..., 0.9**(n-1)."""
+    return 0.9 ** np.arange(n)
 
 
 @dataclass
@@ -56,11 +56,7 @@ class ExperimentConfig:
             raise ValueError("sigma must be nonnegative")
         if self.nonzero_dist not in ("uniform01", "standard_normal"):
             raise ValueError(f"unknown nonzero_dist {self.nonzero_dist!r}")
-        self.ratios = np.asarray(self.ratios, dtype=float)
-        if np.any(self.ratios <= 0) or np.any(self.ratios > 1):
-            raise ValueError("ratios must lie in (0, 1]")
-        if np.any(np.diff(self.ratios) >= 0):
-            raise ValueError("ratios must be strictly decreasing")
+        self.ratios = _checked_ratios(self.ratios)
 
 
 @dataclass
@@ -124,7 +120,7 @@ def run_path_experiment(cfg: ExperimentConfig, solver_cfg: SolverConfig = None,
     true_support = np.any(x_true != 0.0, axis=1)
 
     rows = []
-    points = _warm_path(solve, data, LossKind.LEAST_SQUARES, offsets, cfg.q,
+    points = _warm_path(data, LossKind.LEAST_SQUARES, offsets, cfg.q,
                         [float(r) * lam_max for r in cfg.ratios], solver_cfg)
     for r, (problem, res, seconds) in zip(cfg.ratios, points):
         elapsed_ms = seconds * 1e3

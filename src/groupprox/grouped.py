@@ -105,8 +105,9 @@ class GroupedVector:
 def q_norm(v, q):
     """The vector lq-norm, with q = inf meaning max |v_i|.
 
-    Rescales by max |v_i| before exponentiation so large q does not
-    overflow; the zero vector returns 0 without touching 0**0.
+    Sums in units of max |v_i|, so neither large q nor a sum past the
+    doubles overflows before the final rescaling; the zero vector returns 0
+    without touching 0**0.
     """
     if not q >= 1.0:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q!r}")
@@ -117,8 +118,6 @@ def q_norm(v, q):
     m = float(a.max())
     if m == 0.0 or math.isinf(q):
         return m
-    if q == 1.0:
-        return float(a.sum())
     if q == 2.0:
         return m * math.sqrt(float(np.square(a / m).sum()))
     return m * float(np.power(a / m, q).sum()) ** (1.0 / q)

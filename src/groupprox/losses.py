@@ -73,13 +73,6 @@ def row_group_offsets(d, k):
     return np.arange(0, d * k + 1, k, dtype=np.intp)
 
 
-def _check_shape(w, data):
-    if w.shape != (data.n_features, data.n_tasks):
-        raise ValueError(
-            f"W must be {data.n_features} x {data.n_tasks}, got {w.shape}"
-        )
-
-
 def _loss_at_product(z, data: Dataset, kind: LossKind, gradient=False):
     """Loss from the product Z = A W, and its gradient in W when asked.
 
@@ -102,7 +95,8 @@ def _checked_product(w, data: Dataset, kind: LossKind):
     w = np.asarray(w, dtype=float)
     if w.ndim == 1:
         w = w[:, None]
-    _check_shape(w, data)
+    if w.shape != (data.n_features, data.n_tasks):
+        raise ValueError(f"W must be {data.n_features} x {data.n_tasks}, got {w.shape}")
     if kind is LossKind.LOGISTIC:
         data.check_logistic_targets()
     return data.design @ w

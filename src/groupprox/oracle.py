@@ -169,7 +169,9 @@ class FixedPointTrace:
 
 
 def fixed_point_trace(v, lam, q, start, iters):
-    """Iterate x <- v - lam*||x||_q**(1-q) * x**(q-1) and record the path.
+    """Iterate x <- v - lam*||x||_q**(1-q) * sgn(x)|x|**(q-1) and record
+    the path; the power term is the penalty gradient that brute_prox
+    descends along (_penalty_gradient at |x|).
 
     No convergence is promised; the trace demonstrates the oscillation or
     divergence of this map. Hitting zero or non-finite values truncates the
@@ -184,16 +186,10 @@ def fixed_point_trace(v, lam, q, start, iters):
     trace = [x.copy()]
     truncated = False
     for _ in range(iters):
-        nrm = q_norm(x, q)
-        if nrm == 0.0 or not np.all(np.isfinite(x)):
+        if not (np.any(x) and np.all(np.isfinite(x))):
             truncated = True
             break
-        a = np.abs(x)
-        powed = np.zeros_like(a)
-        p = a > 0.0
-        with np.errstate(over="ignore"):
-            powed[p] = np.exp((q - 1.0) * np.log(a[p]) + (1.0 - q) * math.log(nrm))
-        x = v - lam * np.sign(x) * powed
+        x = v - np.sign(x) * _penalty_gradient(np.abs(x), lam, q)
         trace.append(x.copy())
         if not np.all(np.isfinite(x)):
             truncated = True

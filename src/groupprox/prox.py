@@ -129,12 +129,14 @@ class ProxDiagnostics:
 
 
 def is_zero_solution(v, lam, q):
-    """True iff the projection of v is exactly zero: lam >= max|v| at q = 1,
-    where the soft threshold snaps nothing, else the kernels' _shrinkage."""
+    """True iff the kernel of q projects v to exactly zero (prox_grouped on
+    one group): at q > 1 the zero rule is _shrinkage's, within rounding of
+    the dual-norm boundary, and the soft threshold (q = 1) snaps nothing."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    dual = q_norm(v, dual_exponent(q))
-    return lam >= dual if q == 1.0 else bool(_shrinkage(dual, lam) == 0.0)
+    v = np.asarray(v, dtype=float)
+    return v.size == 0 or not prox_grouped(
+        GroupedVector(v, _one_group(v)), lam, q).values.any()
 
 
 def _check_lam(lam):

@@ -23,7 +23,7 @@ accepted.
 import math
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
@@ -97,14 +97,8 @@ class Problem:
     def matrix(self, w: GroupedVector):
         return self._view(w.values)
 
-    def smooth(self, w: GroupedVector):
-        return self._loss(w.values)
-
-    def smooth_gradient(self, w: GroupedVector):
-        return w.with_values(self._gradient(w.values))
-
     def objective(self, w: GroupedVector):
-        return self.smooth(w) + self.lam * mixed_norm(w, self.q)
+        return self._loss(w.values) + self.lam * mixed_norm(w, self.q)
 
     def zero(self):
         return self._zero.copy()
@@ -255,22 +249,30 @@ def lambda_max(data: Dataset, kind: LossKind, offsets, q):
     return float(group_norms(g, offsets, dual_exponent(q)).max())
 
 
-def _warm_path(solver, data: Dataset, kind: LossKind, offsets, q, lams,
+def _checked_ratios(ratios):
+    """ratios as a float array, checked to decrease strictly within (0, 1]."""
+    ratios = np.asarray(ratios, dtype=float)
+    if np.any(ratios <= 0) or np.any(ratios > 1) or np.any(np.diff(ratios) >= 0):
+        raise ValueError("ratios must be strictly decreasing within (0, 1]")
+    return ratios
+
+
+def _warm_path(data: Dataset, kind: LossKind, offsets, q, lams,
                cfg: SolverConfig = None):
     """Solve at each lam in turn, each solve starting from the last solution.
 
-    ``solver`` is called as ``solve`` is; callers pass the one they hold, so
-    that a test can substitute its own. Yields (problem, outcome, seconds)
-    per point: ``outcome`` is the SolverResult, or the NumericalFailure or
-    ProjectionError that ended the solve, after which the next point starts
-    from the last solution found.
+    ``solve`` is looked up in this module at each point, so a test replaces
+    it by patching ``groupprox.solver.solve``. Yields (problem, outcome,
+    seconds) per point: ``outcome`` is the SolverResult, or the
+    NumericalFailure or ProjectionError that ended the solve, after which
+    the next point starts from the last solution found.
     """
     w = None
     for lam in lams:
         problem = Problem(data, kind, offsets, lam, q)
         t0 = time.perf_counter()
         try:
-            outcome = solver(problem, cfg, x0=w)
+            outcome = solve(problem, cfg, x0=w)
         except (NumericalFailure, ProjectionError) as exc:
             outcome = exc
         else:
@@ -281,12 +283,10 @@ def _warm_path(solver, data: Dataset, kind: LossKind, offsets, q, lams,
 def reg_path(data: Dataset, kind: LossKind, offsets, q, ratios,
              cfg: SolverConfig = None):
     """Warm-started solves at lambda = ratio * lambda_max, decreasing ratios."""
-    ratios = np.asarray(ratios, dtype=float)
-    if np.any(ratios <= 0) or np.any(ratios > 1) or np.any(np.diff(ratios) >= 0):
-        raise ValueError("ratios must be strictly decreasing within (0, 1]")
+    ratios = _checked_ratios(ratios)
     lam_max = lambda_max(data, kind, offsets, q)
     results = []
-    points = _warm_path(solve, data, kind, offsets, q, ratios * lam_max, cfg)
+    points = _warm_path(data, kind, offsets, q, ratios * lam_max, cfg)
     for j, (_, res, _) in enumerate(points):
         if isinstance(res, NumericalFailure):
             raise NumericalFailure(f"path point {j}: {res}", res.iteration) from res

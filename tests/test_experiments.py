@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import groupprox.experiments
+import groupprox.solver
 import groupprox.prox as prox_module
 from groupprox.experiments import (
     METRICS_HEADER,
@@ -145,14 +145,14 @@ class TestRunPathExperiment:
     def test_objective_is_the_returned_iterates(self, q, monkeypatch):
         # W is the best iterate, which is often not the last one
         solved = []
-        real = groupprox.experiments.solve
+        real = groupprox.solver.solve
 
         def recording_solve(problem, cfg, x0=None):
             res = real(problem, cfg, x0=x0)
             solved.append((problem, res.W))
             return res
 
-        monkeypatch.setattr(groupprox.experiments, "solve", recording_solve)
+        monkeypatch.setattr(groupprox.solver, "solve", recording_solve)
         cfg = ExperimentConfig(**dict(TINY, ratios=default_ratios(20), q=q))
         rows = run_path_experiment(cfg)
         assert len(solved) == len(rows)

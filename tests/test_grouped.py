@@ -56,6 +56,11 @@ class TestQNorm:
     def test_l1(self):
         assert q_norm(np.array([1.0, -2.0]), 1.0) == 3.0
 
+    def test_l1_past_the_doubles_is_inf(self):
+        # summed in units of the largest magnitude, the norm overflows only
+        # in the final rescaling, which warns nothing
+        assert q_norm(np.array([1.5e308, 1.5e308]), 1.0) == math.inf
+
     def test_zero_vector(self):
         for q in (1.0, 1.5, 2.0, 7.0, math.inf):
             assert q_norm(np.zeros(4), q) == 0.0
