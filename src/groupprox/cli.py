@@ -69,8 +69,7 @@ def _read_vector(path):
 
 
 def _read_matrix(path):
-    m = np.loadtxt(path, delimiter=",", ndmin=2)
-    return m
+    return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _write_matrix(path, m):
@@ -106,9 +105,7 @@ def _cmd_prox(args):
 
 def _cmd_solve(args):
     spec = json.loads(Path(args.spec).read_text())
-    a = _read_matrix(args.design)
-    y = _read_matrix(args.targets)
-    data = Dataset(a, y)
+    data = Dataset(_read_matrix(args.design), _read_matrix(args.targets))
     kind = LossKind(spec["loss"])
     q = _parse_q(str(spec["q"]))
     lam = float(spec["lambda"])
@@ -129,11 +126,10 @@ def _cmd_solve(args):
 
 
 def _experiment_config(args):
-    ratios = default_ratios(args.n_ratios)
     return ExperimentConfig(
         m=args.m, d=args.d, d_sparse=args.dsparse, k=args.k, sigma=args.sigma,
         nonzero_dist="uniform01" if args.dist == "uniform" else "standard_normal",
-        seed=args.seed, q=args.q, ratios=ratios,
+        seed=args.seed, q=args.q, ratios=default_ratios(args.n_ratios),
     )
 
 
@@ -283,8 +279,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NumericalFailure, ProjectionError, OracleFailure) as exc:

@@ -4,10 +4,12 @@ For a single block the projection solves
 
     argmin_x  0.5*||x - v||_2**2 + lam*||x||_q.
 
-q = 1, 2, inf admit closed or semi-closed forms. For general q in (1, inf)
+q = 1 and q = inf admit closed or semi-closed forms. For q in (1, inf)
 the solution comes from two zero-finding problems: per coordinate the root
 x_i of x + c*x**(q-1) = v_i, and the scalar c* that solves
-phi(c) = lam*psi(c) - c, psi aggregating the x_i. The kernel solves both
+phi(c) = lam*psi(c) - c, psi aggregating the x_i. Where the bracket of c*
+is a point (every group at q = 2, and a group whose nonzero magnitudes are
+all equal) the answer is x = v*eps in closed form; the kernel solves both
 at once, by Newton's method on t = log x and u = log c, one pass over the
 coordinates per step, safeguarded by a bracket of u certified at every
 step, by holding u while a group's roots catch up and by bisection
@@ -49,8 +51,11 @@ class: each class is one zero-padded matrix, one row per group, sorted and
 summed along its rows. Padding at most doubles the entries and there are at
 most log2(max size) + 1 classes, so the cost stays O(n log n) for any layout.
 
-Each form is one kernel batched over all groups of a flat vector, given as
-(values, offsets); the single-vector projections are its one-group case.
+Each kernel is batched over all groups of a flat vector, given as (values,
+offsets): the soft threshold, the q = inf clip, and one path for every
+1 < q < inf (_prox_lq_groups) that applies the zero rule (_zero_rule),
+the closed form and the Newton iteration in turn. The single-vector
+projections are their one-group case.
 """
 
 import math
@@ -129,14 +134,18 @@ class ProxDiagnostics:
 
 
 def is_zero_solution(v, lam, q):
-    """True iff the kernel of q projects v to exactly zero (prox_grouped on
-    one group): at q > 1 the zero rule is _shrinkage's, within rounding of
-    the dual-norm boundary, and the soft threshold (q = 1) snaps nothing."""
+    """True iff the projection of v is exact zero. At 1 < q < inf that is
+    the zero rule every group passes before any solve (_zero_rule), so
+    nothing is solved; a nonzero projection whose every entry rounds to
+    zero (max|v| below about 5e-312) reads as nonzero. q = 1 (the soft
+    threshold, which snaps nothing) and q = inf ask their kernels, which do
+    not iterate."""
     if not lam > 0:
         raise ValueError("lambda must be positive")
     v = np.asarray(v, dtype=float)
-    return v.size == 0 or not prox_grouped(
-        GroupedVector(v, _one_group(v)), lam, q).values.any()
+    return v.size == 0 or not (
+        _zero_rule(_finite(v), _one_group(v), lam, q)[-1] if 1.0 < q < math.inf
+        else prox_grouped(GroupedVector(v, _one_group(v)), lam, q).values).any()
 
 
 def _check_lam(lam):
@@ -160,7 +169,7 @@ def prox_l2(v, lam):
     """Closed form for q = 2: scale v by max(0, (||v||_2 - lam)/||v||_2)."""
     _check_lam(lam)
     v = _finite(np.asarray(v, dtype=float))
-    return v.copy() if v.size == 0 else _prox_l2_groups(v, _one_group(v), lam)[0]
+    return v.copy() if v.size == 0 else _prox_lq_groups(v, _one_group(v), lam, 2.0)[0]
 
 
 def prox_linf(v, lam):
@@ -168,16 +177,6 @@ def prox_linf(v, lam):
     _check_lam(lam)
     v = _finite(np.asarray(v, dtype=float))
     return v.copy() if v.size == 0 else _prox_linf_groups(v, _one_group(v), lam)[0]
-
-
-def _prox_l2_groups(vals, offsets, lam):
-    """Batched q = 2 projection: each group scaled by max(0, 1 - lam/||v_g||).
-
-    Returns (x, norms), norms the l2-norm of each group of x.
-    """
-    norms = group_norms(vals, offsets, 2.0)
-    factor = _shrinkage(norms, lam)
-    return vals * np.repeat(factor, np.diff(offsets)), factor * norms
 
 
 def _prox_linf_groups(vals, offsets, lam):
@@ -410,8 +409,10 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
     ``log_v`` holds the log-magnitudes of the nonzero entries of all active
     groups back to back, ``sizes`` each, less their group's ``log_scale``
     (the log of its largest magnitude), which shifts u = log(c) by
-    (q-2)*log_scale; ``dual`` and ``eps`` = 1 - lam/dual are per group, in
-    these units; ``groups`` is the caller's index of each, for errors.
+    (q-2)*log_scale; no group's magnitudes are all equal (its bracket of u
+    would be a point, which _prox_lq_groups answers in closed form).
+    ``dual`` and ``eps`` = 1 - lam/dual are per group, in these units;
+    ``groups`` is the caller's index of each, for errors.
 
     The equations are F_i = logaddexp(t_i, u + (q-1)*t_i) - log v_i = 0 in
     t_i = log x_i, and G = log(lam) + log(psi(t)) - u = 0. With
@@ -436,11 +437,10 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
     bracket, or else tries the bracket's right end once (where the root
     lies when that bound is tight) or bisects. A group whose bracket is
     within _OUTER_TOL, or whose G is zero to its rounding, goes to the
-    clipped Newton point, closes its bracket there and holds; a bracket
-    that is a point from the start (q = 2, equal magnitudes or one nonzero
-    entry) holds throughout, and passes in which every bracket is a point
-    decide nothing. Every step shortens the Newton step, brings the roots
-    nearer rounding or shrinks the bracket, so the loop ends.
+    clipped Newton point, closes its bracket there and holds; so does a
+    bracket whose ends round to one float although its magnitudes differ.
+    Every step shortens the Newton step, brings the roots nearer rounding
+    or shrinks the bracket, so the loop ends.
 
     A group finishes at x = t + dt, dt = -(r + s*du) taken to the clipped
     Newton point, once every r is at most step_tol (or u's resolution, or
@@ -464,16 +464,14 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
     u, du = lo.copy(), np.zeros(sizes.size)
     # the last step taken, and the largest r of the last pass
     last, last_r = np.full((2, sizes.size), np.inf)
-    # the next pass keeps u, as every pass does where the bracket is a
-    # point (q = 2, equal magnitudes or one nonzero entry)
-    hold = lo == hi
+    hold = np.zeros(sizes.size, dtype=bool)  # the next pass keeps u
     open_hi = np.ones(sizes.size, dtype=bool)  # hi not yet tried
     scale = np.array([[1.0], [max(1.0, e)], [e], [1.0]])
     # a step leaves K*step**2, K <= (q-2)**2/(8*min(1, q-1)) for the roots
     step_tol = math.sqrt(8.0 * _EPS / max(1.0, (q - 2.0)**2 / min(1.0, e)))
     x_out, u_out = np.empty(log_v.size), np.empty(sizes.size)
     live_c, live_g = np.arange(log_v.size), np.arange(sizes.size)
-    steps, passes, held = 0, 0, np.count_nonzero(hold)
+    steps, passes, held = 0, 0, 0
     while True:
         # one pass; the cold bound of the largest entry, -max(u, 0)/(q-1),
         # bounds every t of its group and stands in for the largest
@@ -496,64 +494,60 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
         stalled = hold & (most[0] >= last_r) if held else hold
         settled = (most[0] <= tol * sens) | stalled
         last_r = most[0]
-        if held == sizes.size and (lo == hi).all():
-            # every bracket is a point: the groups only wait for their roots
-            done, du = settled, np.zeros_like(du)
-        else:
-            # (1-q)*top - u is -min(u, 0)
-            g = log_lam - (e / q) * np.log(acc[0]) - np.minimum(u, 0.0)
-            acc *= scale
-            acc /= acc[0]
-            np.maximum(acc[1], 0.0, out=acc[1])  # F >= 0, but for rounding
-            upper, num = g + acc[1:3]
-            # F is at its rounding too where r is, but for t's rounding,
-            # which q-1 and the weights amplify: G alone decides there
-            upper = np.where(stalled, g, upper) if held else upper
-            above, below = g >= 0.0, upper < 0.0
-            lo, hi = np.where(above, u, lo), np.where(below, u, hi)
-            du = num / acc[3]
-            newton = u + du
-            # fmax and fmin take the bracket end over a nan Newton point
-            clipped = np.fmin(np.fmax(newton, lo), hi)
-            done = settled & (np.abs(du) <= tol)
-            u_new = clipped  # where every group finishes
-            if np.count_nonzero(done) < sizes.size:
-                # G, a difference of terms of the size of u, is zero to its
-                # rounding
-                near = ((hi - lo <= np.maximum(_OUTER_TOL / sens, ulp))
-                        | (np.abs(num) <= (4.0 * _EPS) * np.abs(u)))
-                take = ((clipped == newton) & ~near
-                        & (np.abs(du / last - 0.25) < 0.75))
-                if held:
-                    take &= above | below | ~hold
-                elif np.count_nonzero(take & ~settled) == sizes.size:
-                    u, last, steps = newton, du, steps + 1
-                    continue
-                # G < 0 beyond rounding at the left end: that end was wrong
-                bad = np.flatnonzero((upper < -1e-6) & (u == lo))
-                if bad.size:
-                    b = int(bad[0])
-                    with np.errstate(over="ignore"):
-                        c = np.exp([lo[b], hi[b]] + (2.0 - q) * log_scale[b])
-                    raise ProjectionError(
-                        "phi endpoint signs inconsistent",
-                        epsilon=float(eps[live_g[b]]), c_low=float(c[0]),
-                        c_high=float(c[1]), phi_low=float(g[b]),
-                        group=int(groups[live_g[b]]))
-                # near its root, the step that counts is the clipped one
-                done |= settled & near & (np.abs(clipped - u) <= tol)
-                # a held group whose sign is decided tries hi once or bisects
-                move = hold & (above | below) & ~(take | near | done)
-                open_hi &= u < hi
-                u_new = np.where(take | near | done, clipped, np.where(
-                    move, np.where(open_hi & (newton >= hi), hi,
-                                   0.5 * (lo + hi)), u))
-                # a group near its root goes to the clipped Newton point,
-                # where its bracket closes, and holds there
-                lo, hi = np.where(near, u_new, [lo, hi])
-                hold = ~(take | move | done)
-            du, u = u_new - u, u_new
-            last = np.where(hold, np.inf, du)
+        # (1-q)*top - u is -min(u, 0)
+        g = log_lam - (e / q) * np.log(acc[0]) - np.minimum(u, 0.0)
+        acc *= scale
+        acc /= acc[0]
+        np.maximum(acc[1], 0.0, out=acc[1])  # F >= 0, but for rounding
+        upper, num = g + acc[1:3]
+        # F is at its rounding too where r is, but for t's rounding,
+        # which q-1 and the weights amplify: G alone decides there
+        upper = np.where(stalled, g, upper) if held else upper
+        above, below = g >= 0.0, upper < 0.0
+        lo, hi = np.where(above, u, lo), np.where(below, u, hi)
+        du = num / acc[3]
+        newton = u + du
+        # fmax and fmin take the bracket end over a nan Newton point
+        clipped = np.fmin(np.fmax(newton, lo), hi)
+        done = settled & (np.abs(du) <= tol)
+        u_new = clipped  # where every group finishes
+        if np.count_nonzero(done) < sizes.size:
+            # G, a difference of terms of the size of u, is zero to its
+            # rounding
+            near = ((hi - lo <= np.maximum(_OUTER_TOL / sens, ulp))
+                    | (np.abs(num) <= (4.0 * _EPS) * np.abs(u)))
+            take = ((clipped == newton) & ~near
+                    & (np.abs(du / last - 0.25) < 0.75))
+            if held:
+                take &= above | below | ~hold
+            elif np.count_nonzero(take & ~settled) == sizes.size:
+                u, last, steps = newton, du, steps + 1
+                continue
+            # G < 0 beyond rounding at the left end: that end was wrong
+            bad = np.flatnonzero((upper < -1e-6) & (u == lo))
+            if bad.size:
+                b = int(bad[0])
+                with np.errstate(over="ignore"):
+                    c = np.exp([lo[b], hi[b]] + (2.0 - q) * log_scale[b])
+                raise ProjectionError(
+                    "phi endpoint signs inconsistent",
+                    epsilon=float(eps[live_g[b]]), c_low=float(c[0]),
+                    c_high=float(c[1]), phi_low=float(g[b]),
+                    group=int(groups[live_g[b]]))
+            # near its root, the step that counts is the clipped one
+            done |= settled & near & (np.abs(clipped - u) <= tol)
+            # a held group whose sign is decided tries hi once or bisects
+            move = hold & (above | below) & ~(take | near | done)
+            open_hi &= u < hi
+            u_new = np.where(take | near | done, clipped, np.where(
+                move, np.where(open_hi & (newton >= hi), hi,
+                               0.5 * (lo + hi)), u))
+            # a group near its root goes to the clipped Newton point,
+            # where its bracket closes, and holds there
+            lo, hi = np.where(near, u_new, [lo, hi])
+            hold = ~(take | move | done)
+        du, u = u_new - u, u_new
+        last = np.where(hold, np.inf, du)
         n_done = np.count_nonzero(done)
         if n_done:
             every = n_done == sizes.size
@@ -591,42 +585,68 @@ def _solve_positive_groups(log_v, sizes, lam, q, dual, eps, log_scale,
         held = np.count_nonzero(hold)
 
 
-def _prox_lq_groups(vals, offsets, lam, q):
-    """Batched general-q projection over all groups of a flat vector, lam > 0.
-
-    Groups at or within rounding error of the dual-norm boundary project to
-    exact zero; a group for which q is so large that the q = inf projection
-    is the closer answer (module docstring) gets that; the rest are solved
-    together, without their zero coordinates. Returns (x, c_star, eps,
-    outer_iters, inner_passes); c_star and eps are per group, c_star nan
-    where no solve ran and eps 0 where the projection is zero.
-    """
-    sizes = offsets[1:] - offsets[:-1]
+def _zero_rule(vals, offsets, lam, q):
+    """The zero rule of 1 < q < inf, per group of a flat vector: eps =
+    _shrinkage of the dual norm in units of the group's largest magnitude
+    top, in which it does not overflow, at lam/top. Returns (magnitudes,
+    top, that dual norm, the dual norm in the caller's units (inf past the
+    doubles), eps)."""
     a = np.abs(vals)
     top = np.maximum.reduceat(a, offsets[:-1])
-    # the dual norm in units of top, in which it does not overflow
-    dual = _unit_norms(a, top, offsets, dual_exponent(q))
-    # lam in units of a subnormal top may overflow to inf, above every dual
-    with np.errstate(over="ignore"):
-        eps = _shrinkage(dual, lam / np.where(top > 0.0, top, 1.0))
+    unit = _unit_norms(a, top, offsets, dual_exponent(q))
+    # lam/top is inf for a zero group (nan at lam = 0) and may overflow to
+    # inf for a subnormal top; neither group is kept
+    with np.errstate(all="ignore"):
+        return a, top, unit, top * unit, _shrinkage(unit, lam / top)
+
+
+def _prox_lq_groups(vals, offsets, lam, q):
+    """Batched projection over all groups of a flat vector, 1 < q < inf and
+    lam > 0 (at q = 2, lam >= 0).
+
+    Groups at or within rounding error of the dual-norm boundary project to
+    exact zero (_zero_rule). A group whose bracket of c* is a point, every
+    group at q = 2 and any group whose nonzero magnitudes all equal its
+    largest, is x = v*eps in closed form, with no step and no pass; a group
+    for which q is so large that the q = inf projection is the closer
+    answer (module docstring) gets that; only the rest go to
+    _solve_positive_groups, together and without their zero coordinates.
+
+    Returns (x, norms, c_star, eps, unit, point, outer_iters,
+    inner_passes): the lq-norms of x at q = 2 (else None); per group the
+    kernel's c* (nan where it did not run; None at q = 2, where it never
+    runs), eps (0 where x is zero), the dual norm in units of the largest
+    magnitude, and whether the bracket is a point; and the kernel's counts.
+    c* of a point bracket is formed only where it is reported
+    (prox_lq_general): formed here, it made the solver's 200 x 50 grouped
+    call at q = 2 take about 1.25x the time.
+    """
+    sizes = offsets[1:] - offsets[:-1]
+    a, top, unit, dual, eps = _zero_rule(vals, offsets, lam, q)
+    if q == 2.0:
+        return (vals * np.repeat(eps, sizes), eps * dual, None, eps, unit,
+                eps > 0.0, 0, 0)
     nonzero = vals != 0.0
     nnz = np.add.reduceat(nonzero, offsets[:-1], dtype=np.intp)
-    out = np.zeros_like(vals)
-    c_star = np.full(dual.size, np.nan)
-    solved = eps > 0.0
+    # the bracket is a point where every nonzero magnitude is the largest
+    point = top == np.minimum.reduceat(
+        a if nnz.sum() == a.size else np.where(nonzero, a, np.inf), offsets[:-1])
+    solved, c_star = (eps > 0.0) & ~point, np.full(eps.size, np.nan)
+    out = vals * np.repeat(np.where(point, eps, 0.0), sizes) if point.any() \
+        else np.zeros_like(vals)
     # the q = inf projection is within about lam*ln(n)/q of the exact one,
     # and the outer solve resolves x to about q*eps*min(lam, max|v|); the
     # test needs q*q*eps >= ln(2), so it is never met below q = 5.6e7
     qqe = q * q * _EPS
     if qqe >= math.log(2.0):
-        with np.errstate(invalid="ignore"):  # lam = inf leaves none solved
+        with np.errstate(divide="ignore"):  # log(0) of a zero group
             near_inf = solved & (np.log(nnz) <= qqe * np.minimum(1.0, top / lam))
         m = np.repeat(near_inf, sizes)
         out[m] = _prox_linf_groups(vals[m], np.concatenate(
             ([0], np.cumsum(sizes[near_inf]))), lam)[0]
         solved &= ~near_inf
     if not solved.any():
-        return out, c_star, eps, 0, 0
+        return out, None, c_star, eps, unit, point, 0, 0
     sel = np.repeat(solved, sizes) & nonzero
     # zero coordinates drop out but group contiguity is preserved
     sub_sizes = nnz[solved]
@@ -634,13 +654,13 @@ def _prox_lq_groups(vals, offsets, lam, q):
     log_v = np.log(a[sel])
     log_v -= np.repeat(log_scale, sub_sizes)
     x, u_star, outer, inner = _solve_positive_groups(
-        log_v, sub_sizes, lam, q, dual[solved], eps[solved], log_scale,
+        log_v, sub_sizes, lam, q, unit[solved], eps[solved], log_scale,
         np.flatnonzero(solved),
     )
     out[sel] = np.copysign(x, vals[sel])
     with np.errstate(over="ignore"):
         c_star[solved] = np.exp(u_star)
-    return out, c_star, eps, outer, inner
+    return out, None, c_star, eps, unit, point, outer, inner
 
 
 def prox_lq_general(v, lam, q):
@@ -648,9 +668,12 @@ def prox_lq_general(v, lam, q):
 
     Returns (x, ProxDiagnostics). Handles sign decomposition and zero
     entries itself; lam at or beyond the dual-norm boundary yields the
-    exact zero vector. At a q so large that the q = inf projection is the
-    closer answer (module docstring), x is that projection and the
-    diagnostics report no outer solve (c_star None, no iterations).
+    exact zero vector. A group whose bracket of c* is a point (q = 2, equal
+    nonzero magnitudes, one nonzero entry) is x = v*eps in closed form: the
+    diagnostics report no steps and no passes, and c_star is that point.
+    At a q so large that the q = inf projection is the closer answer
+    (module docstring), x is that projection and the diagnostics report no
+    outer solve (c_star None, no iterations).
     """
     if not 1.0 < q < math.inf:
         raise ValueError(f"prox_lq_general needs 1 < q < inf, got {q}")
@@ -658,9 +681,15 @@ def prox_lq_general(v, lam, q):
     v = _finite(np.asarray(v, dtype=float))
     if lam == 0.0 or v.size == 0:
         return v.copy(), ProxDiagnostics(None, 0.0, 0, 0, 0.0)
-    x, c_star, eps, outer, inner = _prox_lq_groups(v, _one_group(v), lam, q)
+    x, _, c_star, eps, unit, point, outer, inner = _prox_lq_groups(
+        v, _one_group(v), lam, q)
     if eps[0] == 0.0:
         return x, ProxDiagnostics(None, 0.0, 0, 0, 0.0)
+    if point[0]:  # the bracket's one point, formed as the kernel forms its ends
+        log_top = np.log(np.abs(v).max())
+        with np.errstate(over="ignore"):
+            c_star = np.exp(_log_c_candidates(
+                log_top, np.log(eps), np.log(lam) - log_top - np.log(unit), q))
     c = None if np.isnan(c_star[0]) else float(c_star[0])
     return x, ProxDiagnostics(c, float(eps[0]), outer, inner,
                               optimality_residual(x, v, lam, q))
@@ -669,14 +698,16 @@ def prox_lq_general(v, lam, q):
 def prox_grouped(v: GroupedVector, lam, q, norms=None) -> GroupedVector:
     """Apply the lq projection to every group with one batched kernel per q.
 
-    q = 1 is the flat soft threshold, q = 2 and q = inf the batched closed
-    and semi-closed forms, any other q > 1 the batched joint Newton iteration.
+    q = 1 is the flat soft threshold, q = inf the batched semi-closed form,
+    and every 1 < q < inf, q = 2 included, _prox_lq_groups: the closed form
+    where a group's bracket of c* is a point, the batched joint Newton
+    iteration elsewhere.
 
     ``norms``, if given, is an output array of length ``v.n_groups`` that
     receives the lq-norm of each group of the result, so that the penalty
     lam*sum(norms) costs no second pass over it. At q = 2 and q = inf the
-    kernels hold these norms already (the scaled input norm and the l1-ball
-    threshold); at other q they are computed from the result.
+    kernels hold these norms already (eps times the input norm, and the
+    l1-ball threshold); at other q they are computed from the result.
     """
     _check_lam(lam)
     if not q >= 1.0:
@@ -689,12 +720,9 @@ def prox_grouped(v: GroupedVector, lam, q, norms=None) -> GroupedVector:
         out = vals.copy()
     elif q == 1.0:
         out = prox_l1(vals, lam)
-    elif q == 2.0:
-        out, found = _prox_l2_groups(vals, offsets, lam)
-    elif math.isinf(q):
-        out, found = _prox_linf_groups(vals, offsets, lam)
     else:
-        out = _prox_lq_groups(vals, offsets, lam, q)[0]
+        out, found = (_prox_linf_groups(vals, offsets, lam) if math.isinf(q)
+                      else _prox_lq_groups(vals, offsets, lam, q))[:2]
     out = v.with_values(out)
     if norms is not None:
         norms[...] = group_norms(out.values, offsets, q) if found is None else found

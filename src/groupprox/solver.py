@@ -22,7 +22,7 @@ accepted.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -126,7 +126,7 @@ class SolverResult:
     converged: bool
     # f(X_{i+1}) - M_{L,S}(X_{i+1}) at each accepted step; nonpositive up
     # to float noise when the line-search certificate holds
-    cert_gaps: np.ndarray = field(default=None)
+    cert_gaps: np.ndarray
 
 
 def _step(s, g, L, problem: Problem, norms=None):

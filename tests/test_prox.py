@@ -23,9 +23,11 @@ from groupprox import (
     q_norm,
 )
 import groupprox.prox as prox_module
+from groupprox.oracle import OracleConfig, brute_prox
 from groupprox.prox import _BLOCK, _BOUNDARY_RTOL, _roots_at
 
 GENERAL_QS = (1.25, 1.5, 1.75, 2.33, 3.0, 5.0)
+EPS = np.finfo(float).eps
 
 
 def random_instance(rng, q, n_max=10, lam_lo=0.05, lam_hi=0.95):
@@ -109,6 +111,20 @@ class TestIsZeroSolution:
         with pytest.raises(ValueError, match="finite"):
             is_zero_solution(np.array([1.0, math.inf]), 0.5, 3.0)
 
+    @pytest.mark.parametrize("q", [1.5, 3.0])
+    def test_answers_without_solving(self, q, monkeypatch):
+        # the zero rule alone decides: the general-q kernel never runs
+        def no_solve(*args):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(prox_module, "_solve_positive_groups", no_solve)
+        v = np.array([2.0, -0.5, 1.25])
+        dual = q_norm(v, dual_exponent(q))
+        assert not is_zero_solution(v, 0.5 * dual, q)
+        assert not is_zero_solution(v, (1.0 - 1e-9) * dual, q)
+        assert is_zero_solution(v, dual, q)
+        assert is_zero_solution(v, 2.0 * dual, q)
+
 
 class TestClosedForms:
     def test_soft_threshold(self):
@@ -139,6 +155,25 @@ class TestClosedForms:
 
     def test_linf_scalar(self):
         np.testing.assert_allclose(prox_linf(np.array([5.0]), 2.0), [3.0])
+
+    def test_l2_entry_points_agree_bitwise(self):
+        # q = 2 has one path: prox_l2, prox_grouped and prox_lq_general give
+        # the same floats, group by group
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            sizes = rng.integers(1, 9, size=int(rng.integers(1, 6)))
+            offsets = np.concatenate(([0], np.cumsum(sizes)))
+            v = rng.standard_normal(offsets[-1]) * 10.0 ** rng.uniform(-5, 5)
+            v[rng.random(v.size) < 0.1] = 0.0
+            lam = rng.uniform(0.1, 1.5) * float(np.median(
+                group_norms(v, offsets, 2.0)))
+            norms = np.empty(sizes.size)
+            out = prox_grouped(GroupedVector(v, offsets), lam, 2.0, norms).values
+            for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+                x = prox_l2(v[lo:hi], lam)
+                assert out[lo:hi].tobytes() == x.tobytes()
+                assert prox_lq_general(v[lo:hi], lam, 2.0)[0].tobytes() == x.tobytes()
+                assert norms[g] == pytest.approx(np.linalg.norm(x), rel=1e-14)
 
 
 PROJECTIONS = {
@@ -444,6 +479,46 @@ class TestProxLqGeneral:
         assert x[1] == pytest.approx(2.7541828298407435e-280, rel=1e-9)
         assert diag.residual <= 1e-12 * np.abs(v).max()
 
+    @pytest.mark.parametrize("q", [1.1, 1.5, 3.0, 5.0, 40.0])
+    def test_point_brackets_in_closed_form(self, q):
+        # equal nonzero magnitudes, or one nonzero entry: the bracket of c*
+        # is a point and x = v*eps, eps = 1 - lam/||v||_qbar, with no step
+        # and no pass
+        rng = np.random.default_rng(5)
+        for i in range(40):
+            n = int(rng.integers(1, 9))
+            k = 1 if i % 2 else int(rng.integers(1, n + 1))
+            v = np.zeros(n)
+            v[rng.choice(n, size=k, replace=False)] = (
+                10.0 ** rng.uniform(-5, 5) * rng.choice([-1.0, 1.0], size=k))
+            dual = q_norm(v, dual_exponent(q))
+            lam = rng.uniform(0.05, 0.95) * dual
+            x, diag = prox_lq_general(v, lam, q)
+            top = np.abs(v).max()
+            assert np.abs(x - v * (1.0 - lam / dual)).max() <= 4.0 * EPS * top
+            assert (diag.outer_iters, diag.inner_iters_total) == (0, 0)
+            # c* is the bracket's one point: the inner equation holds there
+            assert diag.c_star == pytest.approx(
+                (top - abs(x).max()) / abs(x).max() ** (q - 1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("v, q", [
+        ([1.0, np.nextafter(1.0, 0.0)], 1.5),
+        ([1.0, np.nextafter(1.0, 0.0)], 3.0),
+        ([1.0, np.nextafter(1.0, 0.0)], 5.0),
+        ([1.0, 1.0 - 1e-15, 0.9999999999999], 2.0 + 1e-12),
+    ])
+    def test_brackets_that_close_by_rounding(self, v, q):
+        # magnitudes that differ, but whose bracket of c* is a point to
+        # within rounding (its ends a float or so apart): the kernel solves
+        # them (its near rule closes the bracket), and lands on the oracle's
+        # answer
+        v = np.array(v)
+        lam = 0.5 * q_norm(v, dual_exponent(q))
+        x, diag = prox_lq_general(v, lam, q)
+        assert diag.inner_iters_total > 0
+        np.testing.assert_allclose(
+            x, brute_prox(v, lam, q, OracleConfig(tol=1e-9)), rtol=0.0, atol=1e-9)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             prox_lq_general(np.array([1.0]), 0.5, 1.0)
@@ -598,6 +673,16 @@ class TestProxGrouped:
             lam = max(q_norm(g.group(i), dual_exponent(q)) for i in range(2))
             out = prox_grouped(g, lam, q)
             assert np.all(out.values == 0.0)
+
+    def test_zero_group_past_the_q_inf_switch(self):
+        # past q = 5.6e7 a kept group may take the q = inf projection; the
+        # test counts each group's nonzero entries, and a zero group's
+        # count of 0 must not warn
+        g = GroupedVector(np.array([0.0, 0.0, 1.0, 0.5]), [0, 2, 4])
+        out = prox_grouped(g, 0.5, 1e8).values
+        np.testing.assert_array_equal(out[:2], 0.0)
+        np.testing.assert_allclose(out[2:], prox_linf(g.values[2:], 0.5),
+                                   rtol=1e-7)
 
     def test_q1_matches_flat_soft_threshold(self):
         v = np.array([2.0, -0.5, 1.2])
