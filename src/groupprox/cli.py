@@ -118,8 +118,8 @@ def _cmd_solve(args):
     with _output(args.out) as fh:
         _write_matrix(fh, problem.matrix(res.W))
     print(
-        f"iterations={res.iterations} objective={float(res.objective_history.min())!r} "
-        f"converged={res.converged}",
+        f"iterations={res.iterations} trials={res.trials} "
+        f"objective={float(res.objective_history.min())!r} converged={res.converged}",
         file=sys.stderr,
     )
     return 0

@@ -1,9 +1,16 @@
 """Accelerated proximal-gradient solver for group-sparse problems.
 
 Each iteration forms a search point as an affine combination of the last
-two iterates, takes a proximal step from it, and doubles the smoothness
+two iterates, takes a proximal step from it, and raises the smoothness
 estimate L until the quadratic model upper-bounds the objective at the
-candidate (Armijo-Goldstein style line search). L never shrinks. The
+candidate (Armijo-Goldstein style line search). A rejected trial y from
+the search point s has the secant curvature
+need = 2*(f(y) - f(s) - g.(y - s))/||y - s||**2, the least L whose model
+would have accepted y itself, so L rises straight to the least
+L*growth**k, k >= 1, that reaches need, where doubling would have tried
+each level below it. A trial that is not finite, y = s, or a need that is
+not finite raises L by one factor. L so stays L0 times a power of 2, and
+never shrinks. The
 momentum weights follow alpha_{i+1} = (1 + sqrt(1 + 4*alpha_i**2))/2 with
 alpha_{-1} = 0, alpha_0 = 1, giving the O(1/k**2) objective-gap rate
 F(x_k) - F* <= 2 * L_k * ||x_0 - x*||**2 / (k + 1)**2 for the k-th accepted
@@ -17,7 +24,7 @@ gradient at s share it. An accepted iteration costs one A^T r (the
 gradient). Each line-search trial costs one grouped prox call, which also
 reports the group norms of its output and so the trial's penalty, and one
 A y (the trial's loss), which becomes the next A x when the trial is
-accepted.
+accepted. The model and the curvature share g.(y - s) and ||y - s||**2.
 """
 
 import math
@@ -42,6 +49,11 @@ __all__ = [
     "lambda_max",
     "reg_path",
 ]
+
+
+# the line search raises L at most once past this; a trial rejected there
+# ends the solve
+_L_MAX = 1e300
 
 
 class NumericalFailure(RuntimeError):
@@ -109,7 +121,8 @@ class SolverConfig:
     L0: float = 1.0
     max_iter: int = 1000
     rel_tol: float = 1e-10
-    # the line search's factor on L per rejected trial; a constant, not a field
+    # the line search's factor on L: L only takes values L0 * growth**j;
+    # a constant, not a field
     growth: ClassVar[float] = 2.0
 
     def __post_init__(self):
@@ -127,6 +140,9 @@ class SolverResult:
     # f(X_{i+1}) - M_{L,S}(X_{i+1}) at each accepted step; nonpositive up
     # to float noise when the line-search certificate holds
     cert_gaps: np.ndarray
+    # line-search trials, accepted and rejected: one per L tried, each one
+    # grouped prox call (none for a trial whose gradient step is not finite)
+    trials: int
 
 
 def _step(s, g, L, problem: Problem, norms=None):
@@ -143,10 +159,32 @@ def _step(s, g, L, problem: Problem, norms=None):
     return prox_grouped(z, problem.lam / L, problem.q, norms)
 
 
-def _model(y, s, loss_s, g, penalty, L):
-    """Quadratic model at s, evaluated at y, from its parts at s and y."""
+def _secant(y, s, g):
+    """g.(y - s) and ||y - s||**2: the parts of the model at s that depend on y."""
     diff = y - s
-    return loss_s + float(g @ diff) + penalty + 0.5 * L * float(diff @ diff)
+    return float(g @ diff), float(diff @ diff)
+
+
+def _model(loss_s, slope, sq_dist, penalty, L):
+    """Quadratic model at s, evaluated at y, from its parts at s and y."""
+    return loss_s + slope + penalty + 0.5 * L * sq_dist
+
+
+def _raised(L, need, growth):
+    """L times the least power growth**k, k >= 1, that reaches need.
+
+    A need that is not finite asks for one factor. The power stops at the
+    first L past _L_MAX, so that the line search's divergence check fires
+    where one factor at a time would have made it fire, and L never
+    overflows. Multiplying by one factor at a time keeps L exactly
+    L0 * growth**j, as repeated rejections would leave it.
+    """
+    if not math.isfinite(need):
+        need = 0.0
+    L *= growth
+    while L < need and L <= _L_MAX:
+        L *= growth
+    return L
 
 
 def model_value(y: GroupedVector, x: GroupedVector, L, problem: Problem):
@@ -154,8 +192,8 @@ def model_value(y: GroupedVector, x: GroupedVector, L, problem: Problem):
     if not L > 0:
         raise ValueError("L must be positive")
     xv = problem._values(x)
-    return _model(problem._values(y), xv, problem._loss(xv),
-                  problem._gradient(xv), problem.lam * mixed_norm(y, problem.q), L)
+    slope, sq_dist = _secant(problem._values(y), xv, problem._gradient(xv))
+    return _model(problem._loss(xv), slope, sq_dist, problem.lam * mixed_norm(y, problem.q), L)
 
 
 def prox_step(s: GroupedVector, L, problem: Problem):
@@ -176,9 +214,13 @@ def solve(problem: Problem, cfg: SolverConfig = None,
     Starts from x0 (which must have the problem's groups) or zero. Stops at
     max_iter or when the relative objective change drops below rel_tol;
     returns the best-objective iterate seen (the accelerated sequence is
-    not monotone). A trial with a non-finite gradient step or objective is
-    rejected (L grows). Raises NumericalFailure on a non-finite loss at a
-    search point, or when L overflows before the line search accepts a point.
+    not monotone). A rejected trial raises L by the least power of growth
+    (at least one factor) that reaches the trial's secant curvature
+    2*(f(y) - f(s) - g.(y - s))/||y - s||**2; a trial with a non-finite
+    gradient step or objective, y = s, or a non-finite curvature raises it
+    by one factor. So L stays L0 times a power of 2. Raises
+    NumericalFailure on a non-finite loss at a search point, or when L
+    passes 1e300 before the line search accepts a point.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -190,6 +232,7 @@ def solve(problem: Problem, cfg: SolverConfig = None,
     obj_hist, L_hist, gaps = [], [], []
     best_f, best = math.inf, None
     prev_f = None
+    trials = 0
     converged = False
     norms = np.empty(problem.offsets.size - 1)  # group norms of each trial
 
@@ -201,17 +244,24 @@ def solve(problem: Problem, cfg: SolverConfig = None,
         if not math.isfinite(loss_s):
             raise NumericalFailure("loss at the search point is not finite", i)
         while True:
+            trials += 1
             y = _step(s, g, L, problem, norms)
+            need = math.nan  # the trial's secant curvature, where it has one
             if y is not None:
                 penalty = problem.lam * float(norms.sum())
                 ay = design @ problem._view(y.values)
-                f_y = _loss_at_product(ay, data, kind)[0] + penalty
-                model = _model(y.values, s, loss_s, g, penalty, L)
-                if math.isfinite(f_y) and f_y <= model + 1e-12 * max(1.0, abs(model)):
-                    break
-            if not math.isfinite(L) or L > 1e300:
+                loss_y = _loss_at_product(ay, data, kind)[0]
+                f_y = loss_y + penalty
+                slope, sq_dist = _secant(y.values, s, g)
+                model = _model(loss_s, slope, sq_dist, penalty, L)
+                if math.isfinite(f_y):
+                    if f_y <= model + 1e-12 * max(1.0, abs(model)):
+                        break
+                    if sq_dist > 0:
+                        need = 2.0 * (loss_y - loss_s - slope) / sq_dist
+            if not math.isfinite(L) or L > _L_MAX:
                 raise NumericalFailure("line search diverged", i)
-            L *= cfg.growth
+            L = _raised(L, need, cfg.growth)
 
         x_prev, x = x, y.values
         ax_prev, ax = ax, ay
@@ -233,6 +283,7 @@ def solve(problem: Problem, cfg: SolverConfig = None,
         iterations=len(obj_hist),
         converged=converged,
         cert_gaps=np.array(gaps),
+        trials=trials,
     )
 
 

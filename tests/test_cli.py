@@ -97,7 +97,7 @@ class TestSynthAndSolve:
         assert main(args + ["--out", str(d2)]) == 0
         assert (d1 / "design.csv").read_text() == (d2 / "design.csv").read_text()
 
-    def test_solve_round_trip(self, tmp_path):
+    def test_solve_round_trip(self, tmp_path, capsys):
         assert main(["synth", "--m", "20", "--d", "8", "--dsparse", "3",
                      "--k", "2", "--sigma", "0.01", "--seed", "5",
                      "--out", str(tmp_path)]) == 0
@@ -111,6 +111,8 @@ class TestSynthAndSolve:
                      "--targets", str(tmp_path / "targets.csv"),
                      "--spec", str(spec_path), "--out", str(out)])
         assert code == 0
+        summary = dict(f.split("=") for f in capsys.readouterr().err.split())
+        assert int(summary["trials"]) >= int(summary["iterations"]) >= 1
         w = np.loadtxt(out, delimiter=",")
         x_true = np.loadtxt(tmp_path / "ground_truth.csv", delimiter=",")
         assert w.shape == x_true.shape

@@ -233,6 +233,42 @@ class TestSolve:
         f_ref = p.objective(ref.W)
         assert abs(p.objective(tiny.W) - f_ref) <= 1e-8 * max(1.0, abs(f_ref))
 
+    def test_smallest_L0_reaches_the_default_solution(self):
+        # from the smallest subnormal the trials are not finite, and L
+        # doubles once per trial, up to about 2**-507; the first finite
+        # trial's curvature then asks for over 500 factors at once
+        p = small_problem()
+        cfg = dict(max_iter=2000, rel_tol=1e-12)
+        ref = solve(p, SolverConfig(**cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tiny = solve(p, SolverConfig(L0=5e-324, **cfg))
+        f_ref = p.objective(ref.W)
+        assert abs(p.objective(tiny.W) - f_ref) <= 1e-8 * max(1.0, abs(f_ref))
+
+    def test_curvature_past_the_cap_diverges(self):
+        # the curvature, about 1e302, lies past the largest L the line
+        # search tries (the first L0 * 2**j above 1e300)
+        p = small_problem()
+        data = Dataset(1e150 * p.data.design, p.data.targets)
+        big = Problem(data, p.kind, p.offsets, p.lam, p.q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(groupprox.solver.NumericalFailure,
+                               match="line search diverged"):
+                solve(big, SolverConfig(L0=1e-300, max_iter=5))
+
+    @pytest.mark.parametrize("L, need, expected", [
+        (1.0, 5.0, 8.0),               # the least power that reaches need
+        (1.0, 8.0, 8.0),
+        (1.0, 0.5, 2.0),               # at least one factor
+        (1.0, math.nan, 2.0),          # no curvature: one factor
+        (1.0, math.inf, 2.0),
+        (5e-324, 1.0, 1.0),            # 2.0**1074 overflows; L*2**1074 is 1
+        (5e-324, 1e308, 2.0**997),     # stops at the first L past 1e300
+        (2.0**996, 1e308, 2.0**997),
+    ])
+    def test_raised_L(self, L, need, expected):
+        assert groupprox.solver._raised(L, need, SolverConfig.growth) == expected
+
     def test_history_lengths_consistent(self):
         p = small_problem()
         res = solve(p, SolverConfig(max_iter=40, rel_tol=1e-14))
@@ -330,13 +366,14 @@ class TestRegPath:
             reg_path(p.data, p.kind, p.offsets, p.q, [1.0, 0.5])
 
 
-def reference_solve(p, max_iter, rel_tol):
-    """The accelerated loop written plainly: every product recomputed."""
+def reference_solve(p, max_iter, rel_tol, L0=1.0):
+    """The accelerated loop written plainly: every product recomputed, and
+    L doubled once per rejected trial."""
     shape = (p.data.n_features, p.data.n_tasks)
     f = lambda v: loss_value(v.reshape(shape), p.data, p.kind)
     grad = lambda v: loss_gradient(v.reshape(shape), p.data, p.kind).reshape(-1)
     x = x_prev = np.zeros(p.offsets[-1])
-    alpha_mm, alpha_m, L = 0.0, 1.0, 1.0
+    alpha_mm, alpha_m, L = 0.0, 1.0, L0
     objs, Ls = [], []
     for _ in range(max_iter):
         s = x + (alpha_mm - 1.0) / alpha_m * (x - x_prev)
@@ -371,6 +408,28 @@ class TestSameAlgorithm:
         np.testing.assert_allclose(res.objective_history, objs, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
+    @pytest.mark.parametrize("q", [1.5, 2.0, math.inf])
+    def test_curvature_jump_lands_where_doubling_lands(self, kind, q):
+        # from L0 = 1e-6 on data scaled by 1e3 doubling passes about 40
+        # levels that the first trial's curvature already rules out
+        p = small_problem(seed=7, m=20, d=8, k=3, kind=kind, q=q, lam_ratio=0.2,
+                          scale=1e3)
+        res = solve(p, SolverConfig(L0=1e-6, max_iter=400, rel_tol=1e-9))
+        objs, Ls = reference_solve(p, max_iter=400, rel_tol=1e-9, L0=1e-6)
+        assert res.iterations == len(objs)
+        np.testing.assert_array_equal(res.L_history, Ls)
+        np.testing.assert_allclose(res.objective_history, objs, rtol=1e-12, atol=0)
+
+    def test_first_iteration_from_tiny_L0_takes_few_trials(self):
+        # least squares only: its secant curvature is exact, where the
+        # logistic loss grows only linearly far out and its secant there
+        # understates the curvature near s
+        p = small_problem(seed=7, m=20, d=8, k=3, lam_ratio=0.2, scale=1e3)
+        res = solve(p, SolverConfig(L0=1e-6, max_iter=1))
+        assert res.L_history[0] >= 2.0**30 * 1e-6  # doubling: over 30 trials
+        assert res.trials <= 3
+
+    @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
     def test_one_transpose_product_per_iteration_one_product_per_trial(
             self, kind, monkeypatch):
         p = small_problem(seed=3, kind=kind, lam_ratio=0.2)
@@ -397,6 +456,7 @@ class TestSameAlgorithm:
         monkeypatch.setattr(groupprox.grouped, "_partition", counted_partition)
         res = solve(p, SolverConfig(L0=1e-3, max_iter=60, rel_tol=1e-14))
         assert len(trials) > res.iterations  # the line search backtracked
+        assert len(trials) == res.trials
         assert products.count("At") == res.iterations
         assert products.count("A") == 1 + len(trials)  # A x0, then one per trial
         assert partitions == []
