@@ -64,7 +64,7 @@ def main():
     values = np.array([3.0, 4.0, 0.1, 0.1, -1.0, 2.0, 0.5])
     offsets = np.array([0, 2, 4, 7])
     grouped = GroupedVector(values, offsets)
-    out = prox_grouped(grouped, 2.5, 2.0)
+    out = prox_grouped(grouped, 1.5, 2.0)
     for i in range(grouped.n_groups):
         lo, hi = offsets[i], offsets[i + 1]
         print(f"  group {i}: {values[lo:hi]} -> {np.round(out.values[lo:hi], 6)}")

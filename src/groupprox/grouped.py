@@ -23,13 +23,18 @@ __all__ = [
 _Q_ONE_TOL = 1e-12
 
 
+def _check_q(q):
+    """Reject a norm exponent below 1, or nan."""
+    if not q >= 1.0:
+        raise ValueError(f"norm exponent must satisfy q >= 1, got {q!r}")
+
+
 def dual_exponent(q):
     """Conjugate exponent q/(q-1), with 1 <-> inf at the endpoints.
 
     Raises ValueError for q < 1.
     """
-    if not q >= 1.0:
-        raise ValueError(f"norm exponent must satisfy q >= 1, got {q!r}")
+    _check_q(q)
     if math.isinf(q):
         return 1.0
     if q <= 1.0 + _Q_ONE_TOL:
@@ -54,6 +59,14 @@ def _finite(values):
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
     return values
+
+
+def _finite_vector(v):
+    """v as a float array, checked to be one-dimensional and finite."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise ValueError(f"v must be one-dimensional, got shape {v.shape}")
+    return _finite(v)
 
 
 @dataclass
@@ -109,8 +122,7 @@ def q_norm(v, q):
     doubles overflows before the final rescaling; the zero vector returns 0
     without touching 0**0.
     """
-    if not q >= 1.0:
-        raise ValueError(f"norm exponent must satisfy q >= 1, got {q!r}")
+    _check_q(q)
     v = np.asarray(v, dtype=float)
     if v.size == 0:
         return 0.0
@@ -125,6 +137,7 @@ def q_norm(v, q):
 
 def group_norms(values, offsets, q):
     """Per-group lq-norms of a flat vector, vectorized over groups."""
+    _check_q(q)
     offsets = np.asarray(offsets, dtype=np.intp)
     a = np.abs(np.asarray(values, dtype=float))
     m = np.maximum.reduceat(a, offsets[:-1])

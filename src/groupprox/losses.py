@@ -76,12 +76,15 @@ def row_group_offsets(d, k):
 def _loss_at_product(z, data: Dataset, kind: LossKind, gradient=False):
     """Loss from the product Z = A W, and its gradient in W when asked.
 
-    Returns (value, gradient or None). The targets are not checked here.
+    Returns (value, gradient or None). The targets are not checked here. A
+    loss past the doubles is inf, without a warning: callers check it.
     """
     a, y = data.design, data.targets
     if kind is LossKind.LEAST_SQUARES:
         r = z - y
-        return 0.5 * float(np.square(r).sum()), a.T @ r if gradient else None
+        with np.errstate(over="ignore"):
+            value = 0.5 * float(np.square(r).sum())
+        return value, a.T @ r if gradient else None
     if kind is LossKind.LOGISTIC:
         margins = y * z
         # log(1 + exp(-t)) without overflow

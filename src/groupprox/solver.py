@@ -34,7 +34,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .grouped import GroupedVector, _partition, dual_exponent, group_norms, mixed_norm
+from .grouped import (GroupedVector, _check_q, _partition, dual_exponent, group_norms,
+                      mixed_norm)
 from .losses import Dataset, LossKind, _loss_at_product, loss_gradient, loss_value
 from .prox import ProjectionError, prox_grouped
 
@@ -84,8 +85,7 @@ class Problem:
         self.offsets = self._zero.offsets
         if not (self.lam >= 0 and math.isfinite(self.lam)):
             raise ValueError(f"lambda must be finite and nonnegative, got {self.lam!r}")
-        if not self.q >= 1:
-            raise ValueError("q must be at least 1")
+        _check_q(self.q)
         if not isinstance(self.kind, LossKind):
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind is LossKind.LOGISTIC:
@@ -126,8 +126,8 @@ class SolverConfig:
     growth: ClassVar[float] = 2.0
 
     def __post_init__(self):
-        if not (self.L0 > 0 and self.max_iter >= 1 and self.rel_tol > 0):
-            raise ValueError("L0, max_iter and rel_tol must be positive")
+        if not (0 < self.L0 < math.inf and self.max_iter >= 1 and self.rel_tol > 0):
+            raise ValueError("L0 must be finite and positive, max_iter and rel_tol positive")
 
 
 @dataclass
@@ -259,7 +259,7 @@ def solve(problem: Problem, cfg: SolverConfig = None,
                         break
                     if sq_dist > 0:
                         need = 2.0 * (loss_y - loss_s - slope) / sq_dist
-            if not math.isfinite(L) or L > _L_MAX:
+            if L > _L_MAX:
                 raise NumericalFailure("line search diverged", i)
             L = _raised(L, need, cfg.growth)
 

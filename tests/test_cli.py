@@ -139,6 +139,28 @@ class TestSynthAndSolve:
                      "--targets", str(tmp_path / "targets.csv"),
                      "--spec", str(tmp_path / "spec.json")]) == 2
 
+    def test_solve_q_below_one_is_input_error(self, tmp_path, capsys):
+        (tmp_path / "design.csv").write_text("1.0,2.0\n3.0,-1.0\n")
+        (tmp_path / "targets.csv").write_text("1.0\n-2.0\n")
+        (tmp_path / "spec.json").write_text(
+            json.dumps({"loss": "least_squares", "q": 0.5, "lambda": 0.1}))
+        assert main(["solve", "--design", str(tmp_path / "design.csv"),
+                     "--targets", str(tmp_path / "targets.csv"),
+                     "--spec", str(tmp_path / "spec.json")]) == 2
+        assert "q must be at least 1" in capsys.readouterr().err
+
+    def test_solve_numerical_failure_exits_3(self, tmp_path, capsys):
+        # targets of 1e160: the loss at the first search point is past the
+        # largest double
+        (tmp_path / "design.csv").write_text("1.0,2.0\n3.0,-1.0\n")
+        (tmp_path / "targets.csv").write_text("1e160\n-2e160\n")
+        (tmp_path / "spec.json").write_text(
+            json.dumps({"loss": "least_squares", "q": 2, "lambda": 1.0}))
+        assert main(["solve", "--design", str(tmp_path / "design.csv"),
+                     "--targets", str(tmp_path / "targets.csv"),
+                     "--spec", str(tmp_path / "spec.json")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_solve_unknown_loss_is_input_error(self, tmp_path):
         (tmp_path / "design.csv").write_text("1.0\n")
         (tmp_path / "targets.csv").write_text("1.0\n")

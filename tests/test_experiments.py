@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(ratios=np.array([0.5, 0.9]))
 
+    @pytest.mark.parametrize("size", ["m", "d", "d_sparse", "k"])
+    def test_sizes_must_be_positive(self, size):
+        with pytest.raises(ValueError, match="must be positive"):
+            ExperimentConfig(**{size: 0})
+
 
 class TestSynthGenerate:
     def test_shapes_and_row_sparsity(self):
@@ -110,6 +115,10 @@ class TestBalancedErrorRate:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             balanced_error_rate(np.ones(3), np.ones(3))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="equal length"):
+            balanced_error_rate(np.ones(3), np.array([1.0, -1.0]))
 
 
 class TestRunPathExperiment:

@@ -65,6 +65,14 @@ class TestQNorm:
         for q in (1.0, 1.5, 2.0, 7.0, math.inf):
             assert q_norm(np.zeros(4), q) == 0.0
 
+    def test_empty_vector_is_zero(self):
+        assert q_norm(np.zeros(0), 3.0) == 0.0
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, math.nan])
+    def test_below_one_rejected(self, q):
+        with pytest.raises(ValueError, match="q >= 1"):
+            q_norm(np.ones(2), q)
+
     def test_huge_exponent_no_overflow(self):
         v = np.array([1e150, 2e150])
         assert q_norm(v, 64.0) == pytest.approx(2e150, rel=1e-6)
@@ -111,6 +119,15 @@ class TestGroupedVector:
     def test_no_empty_groups(self):
         with pytest.raises(ValueError):
             GroupedVector(np.arange(4.0), [0, 2, 2, 4])
+
+    @pytest.mark.parametrize("offsets", [[0], [], [[0, 4]]], ids=["one", "none", "matrix"])
+    def test_offsets_need_two_indices(self, offsets):
+        with pytest.raises(ValueError, match="at least two indices"):
+            GroupedVector(np.arange(4.0), offsets)
+
+    def test_values_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            GroupedVector(np.ones((2, 2)), [0, 4])
 
     def test_values_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -159,6 +176,14 @@ class TestGroupNorms:
             fast = group_norms(v, offsets, q)
             slow = [q_norm(v[a:b], q) for a, b in zip(offsets, offsets[1:])]
             np.testing.assert_allclose(fast, slow, rtol=1e-12)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, math.nan])
+    def test_below_one_rejected(self, q):
+        g = GroupedVector(np.array([1.0, 2.0]), [0, 2])
+        with pytest.raises(ValueError, match="q >= 1"):
+            group_norms(g.values, g.offsets, q)
+        with pytest.raises(ValueError, match="q >= 1"):
+            mixed_norm(g, q)
 
 
 class TestMixedNorm:

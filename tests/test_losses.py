@@ -34,6 +34,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.ones((4, 3)), np.ones((5, 2)))
 
+    @pytest.mark.parametrize("design, targets", [
+        (np.ones(4), np.ones((4, 2))),
+        (np.ones((4, 3, 1)), np.ones((4, 2))),
+        (np.ones((4, 3)), np.ones((4, 2, 1))),
+    ], ids=["vector-design", "3d-design", "3d-targets"])
+    def test_non_matrix_rejected(self, design, targets):
+        with pytest.raises(ValueError, match="matrices"):
+            Dataset(design, targets)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[math.inf]]), np.array([[1.0]]))
@@ -71,6 +80,11 @@ class TestLossValue:
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
         data = Dataset(np.eye(2), w)
         assert loss_value(w, data, LossKind.LEAST_SQUARES) == 0.0
+
+    def test_unknown_kind_rejected(self):
+        data = Dataset(np.eye(2), np.ones((2, 1)))
+        with pytest.raises(ValueError, match="unknown loss kind"):
+            loss_value(np.zeros((2, 1)), data, "hinge")
 
     def test_logistic_overflow_safe(self):
         data = Dataset(np.array([[1000.0]]), np.array([[-1.0]]))

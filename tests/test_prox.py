@@ -12,6 +12,7 @@ from groupprox import (
     dual_exponent,
     group_norms,
     is_zero_solution,
+    l1_ball_threshold,
     optimality_residual,
     phi,
     prox_grouped,
@@ -129,6 +130,9 @@ class TestIsZeroSolution:
 class TestClosedForms:
     def test_soft_threshold(self):
         np.testing.assert_allclose(prox_l1(np.array([2.0, -0.5]), 1.0), [1.0, 0.0])
+        # elementwise over any shape
+        np.testing.assert_array_equal(prox_l1(np.array([[2.0, -0.5], [-3.0, 1.5]]), 1.0),
+                                      [[1.0, 0.0], [-2.0, 0.5]])
 
     def test_soft_threshold_zero_input(self):
         np.testing.assert_allclose(prox_l1(np.zeros(2), 1.0), [0.0, 0.0])
@@ -227,12 +231,32 @@ def test_norm_past_the_doubles_reads_inf(q):
     np.testing.assert_allclose(prox_l2(v, 1.0), v, rtol=1e-14)
 
 
-@pytest.mark.parametrize("name", ["l2", "linf", "general_q1.5", "general_q3"])
+@pytest.mark.parametrize("name", ["l1", "l2", "linf", "general_q1.5", "general_q3"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_input_rejected(name, bad):
     _, project = PROJECTIONS[name]
     with pytest.raises(ValueError, match="finite"):
         project(np.array([1.0, bad]), 0.5)
+
+
+# the entry points that take one group's vector
+ONE_GROUP = {
+    "l2": lambda v: prox_l2(v, 0.5),
+    "linf": lambda v: prox_linf(v, 0.5),
+    "general_q1.5": lambda v: prox_lq_general(v, 0.5, 1.5),
+    "general_q3": lambda v: prox_lq_general(v, 0.5, 3.0),
+    "is_zero_q2": lambda v: is_zero_solution(v, 0.5, 2.0),
+    "is_zero_q3": lambda v: is_zero_solution(v, 0.5, 3.0),
+    "l1_ball_threshold": lambda v: l1_ball_threshold(np.abs(v), 0.5),
+    "phi": lambda v: phi(0.5, np.abs(v), 0.5, 3.0),
+    "c_interval": lambda v: c_interval(np.abs(v), 0.5, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_GROUP))
+def test_one_group_entry_points_reject_matrices(name):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        ONE_GROUP[name](np.array([[1.0, 2.0], [3.0, 0.5]]))
 
 
 GROUPED_PROJECTIONS = {
@@ -324,6 +348,27 @@ class TestPhi:
     def test_nan_lambda_rejected(self):
         with pytest.raises(ValueError, match="lambda"):
             phi(1.0, np.array([1.0, 2.0]), math.nan, 3.0)
+
+    @pytest.mark.parametrize("v", [[0.0, 1.0], [-1.0, 2.0]])
+    def test_non_positive_entries_rejected(self, v):
+        with pytest.raises(ValueError, match="strictly positive"):
+            phi(1.0, np.array(v), 0.5, 3.0)
+
+    @pytest.mark.parametrize("c, v, q", [
+        (0.0, [1e-300, 2e-300], 3.0),
+        (0.3, [1e-300, 2e-300], 3.0),
+        (1e-10, [1e-200, 2e-200], 5.0),
+    ])
+    def test_past_the_doubles_is_inf(self, c, v, q):
+        # lam*psi(c) is about ||v||**(1-q) here, past the largest double
+        assert phi(c, np.array(v), 0.5, q) == math.inf
+
+    def test_psi_past_the_doubles_scaled_back_by_lam(self):
+        # psi(0) = ||v||_3**-2 = 9**(-2/3) * 1e600 lies past the doubles,
+        # lam*psi(0) does not; at lam = 0, phi(c) = -c
+        v = np.array([1e-300, 2e-300])
+        assert phi(0.0, v, 1e-300, 3.0) == pytest.approx(9.0 ** (-2.0 / 3.0) * 1e300, rel=1e-12)
+        assert phi(0.3, v, 0.0, 3.0) == -0.3
 
 
 class TestProxLqGeneral:
@@ -437,9 +482,9 @@ class TestProxLqGeneral:
 
     @pytest.mark.parametrize("q", [6e5, 1e6])
     def test_huge_q_bracket_closes(self, q):
-        # log c* is near 1e6, where floats lie more than the 1e-10 outer
-        # tolerance apart; the bracket must close anyway, on an answer
-        # within about 1/q of the q = inf clipping
+        # log c* is near 1e6, where floats lie about 1e-10 apart; the
+        # bracket closes at that resolution, on an answer within about 1/q
+        # of the q = inf clipping
         v = np.array([1.0, 0.5])
         lam = 0.5 * q_norm(v, dual_exponent(q))
         x, diag = prox_lq_general(v, lam, q)
@@ -916,6 +961,11 @@ class TestOptimalityResidual:
     def test_zero_x_rejected(self):
         with pytest.raises(ValueError):
             optimality_residual(np.zeros(2), np.ones(2), 0.5, 2.0)
+
+    @pytest.mark.parametrize("q", [1.0, math.inf, 0.5, math.nan])
+    def test_q_outside_open_interval_rejected(self, q):
+        with pytest.raises(ValueError, match="1 < q < inf"):
+            optimality_residual(np.ones(2), np.ones(2), 0.5, q)
 
     @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.5, 3.0, 64.0])
     def test_matches_masked_form(self, q):

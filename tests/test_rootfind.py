@@ -98,6 +98,11 @@ class TestL1BallThreshold:
         with pytest.raises(ValueError):
             l1_ball_threshold(np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            l1_ball_threshold(np.array([bad, 3.0]), 1.0)
+
     @given(
         st.lists(st.floats(0.0, 10.0), min_size=1, max_size=15),
         st.floats(1e-3, 0.999),

@@ -56,6 +56,12 @@ class TestProblem:
         with pytest.raises(ValueError, match="lambda"):
             Problem(p.data, p.kind, p.offsets, lam, p.q)
 
+    @pytest.mark.parametrize("q", [0.5, math.nan])
+    def test_q_below_one_rejected(self, q):
+        p = small_problem()
+        with pytest.raises(ValueError, match="q >= 1"):
+            Problem(p.data, p.kind, p.offsets, p.lam, q)
+
     def test_kind_must_be_a_loss_kind(self):
         p = small_problem()
         with pytest.raises(ValueError, match="loss kind"):
@@ -138,6 +144,20 @@ class TestProxStep:
         out = prox_step(s, 1.0, p_big)
         assert np.all(out.values == 0.0)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.nan])
+    def test_nonpositive_L_rejected(self, L):
+        p = small_problem()
+        with pytest.raises(ValueError, match="L must be positive"):
+            prox_step(p.zero(), L, p)
+
+    def test_non_finite_step_rejected(self):
+        # grad/L overflows at the smallest subnormal L
+        p = small_problem()
+        s = p.zero().with_values(np.linspace(-1, 1, 12))
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="not finite"):
+                prox_step(s, 5e-324, p)
+
 
 class TestAlphaSequence:
     def recurrence(self, n):
@@ -203,6 +223,24 @@ class TestSolve:
         ref = solve(p, SolverConfig(max_iter=3000, rel_tol=1e-15))
         stepped = prox_step(ref.W, float(ref.L_history[-1]), p)
         assert np.abs(stepped.values - ref.W.values).max() <= 1e-7
+
+    @pytest.mark.parametrize("field, value", [
+        ("L0", 0.0), ("L0", -1.0), ("L0", math.inf), ("L0", math.nan),
+        ("max_iter", 0), ("rel_tol", 0.0),
+    ])
+    def test_bad_config_rejected(self, field, value):
+        # a non-finite L0 is rejected here, not one trial into a solve
+        with pytest.raises(ValueError):
+            SolverConfig(**{field: value})
+
+    def test_loss_past_the_doubles_fails_at_the_search_point(self):
+        # targets of 1e160 square past the largest double at x0 = 0
+        p = small_problem()
+        data = Dataset(p.data.design, 1e160 * p.data.targets)
+        big = Problem(data, p.kind, p.offsets, 1.0, p.q)
+        with pytest.raises(groupprox.solver.NumericalFailure,
+                           match="loss at the search point is not finite"):
+            solve(big)
 
     def test_x0_must_have_problem_groups(self):
         p = small_problem()  # six groups of two
