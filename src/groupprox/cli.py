@@ -25,7 +25,7 @@ from .experiments import (
 )
 from .grouped import GroupedVector
 from .losses import Dataset, LossKind, row_group_offsets
-from .oracle import OracleFailure, fixed_point_trace
+from .oracle import fixed_point_trace
 from .prox import ProjectionError, prox_grouped, prox_lq_general
 from .solver import NumericalFailure, Problem, SolverConfig, solve
 
@@ -282,7 +282,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalFailure, ProjectionError, OracleFailure) as exc:
+    except (NumericalFailure, ProjectionError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

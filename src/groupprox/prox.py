@@ -314,7 +314,7 @@ def phi(c, v_abs, lam, q):
     At c = 0 the inner roots are the v_i themselves, so
     phi(0) = lam*||v||_q**(1-q) > 0. The roots are found for v scaled to
     unit max-magnitude, which shifts log(c) by (q-2)*log(max v). Where
-    lam*psi(c) lies past the doubles (for tiny v), phi is inf.
+    lam*psi(c) lies past the doubles (for tiny v, or lam = inf), phi is inf.
     """
     if not 0.0 <= c < math.inf:
         raise ValueError(f"c must be finite and nonnegative, got {c}")
@@ -335,10 +335,15 @@ def phi(c, v_abs, lam, q):
         log_psi = ((1.0 - q) * (-max(u, 0.0) / (q - 1.0) + math.log(w_sum) / q)
                    + (1.0 - q) * log_s)
     try:
-        return lam * math.exp(log_psi) - c
-    except OverflowError:  # psi is past the doubles: lam*psi in logs, inf past them
+        lam_psi = lam * math.exp(log_psi)
+    except OverflowError:
+        lam_psi = math.nan
+    # psi past the doubles, or lam = inf times a psi that underflows to 0:
+    # lam*psi in logs, inf past the doubles
+    if math.isnan(lam_psi):
         with np.errstate(divide="ignore", over="ignore"):
-            return float(np.exp(np.log(lam) + log_psi)) - c
+            lam_psi = float(np.exp(np.log(lam) + log_psi))
+    return lam_psi - c
 
 
 def _blocks(sizes, arrays, scratch):

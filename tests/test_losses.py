@@ -114,6 +114,22 @@ class TestLossGradient:
         g = loss_gradient(w, data, LossKind.LEAST_SQUARES)
         np.testing.assert_allclose(g, np.zeros((3, 2)), atol=1e-10)
 
+    @pytest.mark.parametrize("w, expected", [
+        (0.0, 0.0),
+        (36.7, 1.0 - 3 * 2.0**-53),  # each weight still a few ulps off 0 or 1
+        (37.5, 1.0),
+        (709.0, 1.0),
+        (710.0, 1.0),  # exp of the margin overflows to inf: weight 0
+        (745.0, 1.0),
+        (1e308, 1.0),
+        (-1e308, -1.0),
+    ])
+    def test_logistic_weight_at_extremes(self, w, expected):
+        # margins w and -w: the gradient is 1/(1 + exp(-w)) - 1/(1 + exp(w))
+        data = Dataset(np.array([[1.0], [1.0]]), np.array([[1.0], [-1.0]]))
+        g = loss_gradient(np.array([w]), data, LossKind.LOGISTIC)
+        assert g.tolist() == [[expected]]
+
     @pytest.mark.parametrize("kind", [LossKind.LEAST_SQUARES, LossKind.LOGISTIC])
     def test_finite_difference_match(self, kind):
         rng = np.random.default_rng(4)

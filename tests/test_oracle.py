@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import groupprox.oracle
 from groupprox import (
     OracleConfig,
+    OracleFailure,
     brute_prox,
     dual_exponent,
     fixed_point_trace,
@@ -47,6 +49,16 @@ class TestBruteProx:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(tol=0.0)
+
+    def test_iteration_cap_raises(self):
+        with pytest.raises(OracleFailure, match="no convergence within 1 iterations"):
+            brute_prox(np.array([1.0, 3.0]), 0.5, 3.0, OracleConfig(max_iter=1))
+
+    def test_step_exhaustion_raises(self, monkeypatch):
+        # no candidate ever lowers f, so the step halves until it runs out
+        monkeypatch.setattr(groupprox.oracle, "_certified_gap", lambda x, pos, lam, q: (1.0, 1.0))
+        with pytest.raises(OracleFailure, match="step size exhausted before convergence"):
+            brute_prox(np.array([1.0, 3.0]), 0.5, 3.0)
 
 
 class TestFixedPointTrace:

@@ -363,6 +363,12 @@ class TestPhi:
         # lam*psi(c) is about ||v||**(1-q) here, past the largest double
         assert phi(c, np.array(v), 0.5, q) == math.inf
 
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_infinite_lambda_is_inf(self, c):
+        # psi(0) = ||v||_5**-4, about 1e-1200, underflows to 0, yet psi > 0,
+        # so lam*psi is inf and not inf*0 = nan
+        assert phi(c, np.array([1e300, 2e300]), math.inf, 5.0) == math.inf
+
     def test_psi_past_the_doubles_scaled_back_by_lam(self):
         # psi(0) = ||v||_3**-2 = 9**(-2/3) * 1e600 lies past the doubles,
         # lam*psi(0) does not; at lam = 0, phi(c) = -c

@@ -1,7 +1,10 @@
-"""Static checks of the package source: every import is used, and every
-private module-level function is called from somewhere."""
+"""Static checks of the package source: every import is used, every
+private module-level function is called from somewhere, and numpy is the
+only dependency."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,18 @@ def test_every_private_function_is_referenced():
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")]
     assert private
     assert [f for f in private if f.split(":")[1] not in referenced] == []
+
+
+def test_numpy_is_the_only_dependency():
+    imported = set()
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported - sys.stdlib_module_names - {"numpy"}) == []
+    # tomllib is not in Python 3.10, so the list is read with a regex
+    listed = re.search(r"^dependencies = \[(.*?)\]", (ROOT / "pyproject.toml").read_text(),
+                       re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', listed) == ["numpy"]
