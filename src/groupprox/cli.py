@@ -206,7 +206,7 @@ def _add_synth_flags(p):
     p.add_argument("--dist", choices=("uniform", "normal"), default="normal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--q", type=_parse_q, default=2.0)
-    p.add_argument("--n-ratios", type=int, default=100)
+    p.add_argument("--n-ratios", type=_positive_int, default=100)
 
 
 def build_parser():

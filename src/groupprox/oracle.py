@@ -175,10 +175,12 @@ def fixed_point_trace(v, lam, q, start, iters):
 
     No convergence is promised; the trace demonstrates the oscillation or
     divergence of this map. Hitting zero or non-finite values truncates the
-    trace (flagged, not an error).
+    trace (flagged, not an error). ``iters`` = 0 traces the start alone.
     """
     if not 1.0 < q < math.inf:
         raise ValueError(f"fixed_point_trace needs 1 < q < inf, got {q}")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     v = np.asarray(v, dtype=float)
     x = np.asarray(start, dtype=float).copy()
     if not np.any(x != 0.0):

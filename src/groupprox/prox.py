@@ -57,9 +57,12 @@ most log2(max size) + 1 classes, so the cost stays O(n log n) for any layout.
 
 Each kernel is batched over all groups of a flat vector, given as (values,
 offsets): the soft threshold, the q = inf clip, and one path for every
-1 < q < inf (_prox_lq_groups) that applies the zero rule (_zero_rule),
-the closed form and the Newton iteration in turn. The single-vector
-projections are their one-group case.
+1 < q < inf (_prox_lq_groups). That path applies the zero rule
+(_zero_rule) to every group first; then it gathers the kept groups once
+into a compact vector, and the closed form, the Newton iteration and the
+norms of the result run on that vector alone, so a zeroed group costs
+only the zero rule. The single-vector projections are their one-group
+case.
 """
 
 import math
@@ -615,67 +618,97 @@ def _zero_rule(vals, offsets, lam, q):
         return a, top, unit, top * unit, _shrinkage(unit, lam / top)
 
 
-def _prox_lq_groups(vals, offsets, lam, q):
+def _offsets(sizes):
+    """The offsets of groups of ``sizes`` entries laid back to back."""
+    return np.concatenate(([0], np.cumsum(sizes)))
+
+
+def _prox_lq_groups(vals, offsets, lam, q, norms=None):
     """Batched projection over all groups of a flat vector, 1 < q < inf and
     lam > 0 (at q = 2, lam >= 0).
 
     Groups at or within rounding error of the dual-norm boundary project to
-    exact zero (_zero_rule). A group whose bracket of c* is a point, every
+    exact zero (_zero_rule), and no later step passes over them: the kept
+    groups are gathered once, whole, into a compact vector (the input
+    itself when every group is kept), and x is scattered from it into
+    zeros. Of the kept groups, one whose bracket of c* is a point, every
     group at q = 2 and any group whose nonzero magnitudes all equal its
     largest, is x = v*eps in closed form, with no step and no pass; a group
     for which q is so large that the q = inf projection is the closer
     answer (module docstring) gets that; only the rest go to
     _solve_positive_groups, together and without their zero coordinates.
 
-    Returns (x, norms, c_star, eps, unit, point, outer_iters,
-    inner_passes): the lq-norms of x at q = 2 (else None); per group the
-    kernel's c* (nan where it did not run; None at q = 2, where it never
-    runs), eps (0 where x is zero), the dual norm in units of the largest
-    magnitude, and whether the bracket is a point; and the kernel's counts.
-    c* of a point bracket is formed only where it is reported
-    (prox_lq_general): formed here, it made the solver's 200 x 50 grouped
-    call at q = 2 take about 1.25x the time.
+    ``norms``, if given, receives the lq-norm of each group of x: eps times
+    the dual norm at q = 2, elsewhere group_norms of the kept groups'
+    segments of the compact x, and 0 for every other group.
+
+    Returns (x, c_star, eps, unit, point, outer_iters, inner_passes): per
+    group the kernel's c* (nan where it did not run; None at q = 2, where
+    it never runs), eps (0 where x is zero), the dual norm in units of the
+    largest magnitude, and whether the bracket is a point (False where x is
+    zero); and the kernel's counts. c* of a point bracket is formed only
+    where it is reported (prox_lq_general): formed here, it made the
+    solver's 200 x 50 grouped call at q = 2 take about 1.25x the time.
     """
     sizes = offsets[1:] - offsets[:-1]
     a, top, unit, dual, eps = _zero_rule(vals, offsets, lam, q)
     if q == 2.0:
-        return (vals * np.repeat(eps, sizes), eps * dual, None, eps, unit,
-                eps > 0.0, 0, 0)
+        if norms is not None:
+            norms[...] = eps * dual
+        return vals * np.repeat(eps, sizes), None, eps, unit, eps > 0.0, 0, 0
+    point, c_star = np.zeros(eps.size, dtype=bool), np.full(eps.size, np.nan)
+    if norms is not None:
+        norms[...] = 0.0
+    kept = np.flatnonzero(eps > 0.0)
+    if kept.size == 0:
+        return np.zeros_like(vals), c_star, eps, unit, point, 0, 0
+    # from here on vals, a, sizes, offsets and top are the kept groups'
+    whole = kept.size == eps.size
+    if not whole:
+        gather = np.repeat(eps > 0.0, sizes)
+        vals, a, sizes = vals[gather], a[gather], sizes[kept]
+        offsets = _offsets(sizes)
+    starts, top, k_unit, k_eps = offsets[:-1], top[kept], unit[kept], eps[kept]
     nonzero = vals != 0.0
-    nnz = np.add.reduceat(nonzero, offsets[:-1], dtype=np.intp)
+    nnz = np.add.reduceat(nonzero, starts, dtype=np.intp)
     # the bracket is a point where every nonzero magnitude is the largest
-    point = top == np.minimum.reduceat(
-        a if nnz.sum() == a.size else np.where(nonzero, a, np.inf), offsets[:-1])
-    solved, c_star = (eps > 0.0) & ~point, np.full(eps.size, np.nan)
-    out = vals * np.repeat(np.where(point, eps, 0.0), sizes) if point.any() \
-        else np.zeros_like(vals)
+    k_point = top == np.minimum.reduceat(
+        a if nnz.sum() == a.size else np.where(nonzero, a, np.inf), starts)
+    point[kept] = k_point
+    solved = ~k_point
+    out = vals * np.repeat(np.where(k_point, k_eps, 0.0), sizes) \
+        if k_point.any() else np.zeros_like(vals)
     # the q = inf projection is within about lam*ln(n)/q of the exact one,
     # and the outer solve resolves x to about q*eps*min(lam, max|v|); the
     # test needs q*q*eps >= ln(2), so it is never met below q = 5.6e7
     qqe = q * q * _EPS
     if qqe >= math.log(2.0):
-        with np.errstate(divide="ignore"):  # log(0) of a zero group
-            near_inf = solved & (np.log(nnz) <= qqe * np.minimum(1.0, top / lam))
+        near_inf = solved & (np.log(nnz) <= qqe * np.minimum(1.0, top / lam))
         m = np.repeat(near_inf, sizes)
-        out[m] = _prox_linf_groups(vals[m], np.concatenate(
-            ([0], np.cumsum(sizes[near_inf]))), lam)[0]
+        out[m] = _prox_linf_groups(vals[m], _offsets(sizes[near_inf]), lam)[0]
         solved &= ~near_inf
-    if not solved.any():
-        return out, None, c_star, eps, unit, point, 0, 0
-    sel = np.repeat(solved, sizes) & nonzero
-    # zero coordinates drop out but group contiguity is preserved
-    sub_sizes = nnz[solved]
-    log_scale = np.log(top[solved])
-    log_v = np.log(a[sel])
-    log_v -= np.repeat(log_scale, sub_sizes)
-    x, u_star, outer, inner = _solve_positive_groups(
-        log_v, sub_sizes, lam, q, unit[solved], eps[solved], log_scale,
-        np.flatnonzero(solved),
-    )
-    out[sel] = np.copysign(x, vals[sel])
-    with np.errstate(over="ignore"):
-        c_star[solved] = np.exp(u_star)
-    return out, None, c_star, eps, unit, point, outer, inner
+    outer = inner = 0
+    if solved.any():
+        sel = np.repeat(solved, sizes) & nonzero
+        # zero coordinates drop out but group contiguity is preserved
+        sub_sizes = nnz[solved]
+        log_scale = np.log(top[solved])
+        log_v = np.log(a[sel])
+        log_v -= np.repeat(log_scale, sub_sizes)
+        x, u_star, outer, inner = _solve_positive_groups(
+            log_v, sub_sizes, lam, q, k_unit[solved], k_eps[solved],
+            log_scale, kept[solved],
+        )
+        out[sel] = np.copysign(x, vals[sel])
+        with np.errstate(over="ignore"):
+            c_star[kept[solved]] = np.exp(u_star)
+    if norms is not None:
+        norms[kept] = group_norms(out, offsets, q)
+    if not whole:
+        full = np.zeros(gather.size)
+        full[gather] = out
+        out = full
+    return out, c_star, eps, unit, point, outer, inner
 
 
 def prox_lq_general(v, lam, q):
@@ -696,7 +729,7 @@ def prox_lq_general(v, lam, q):
     v = _finite_vector(v)
     if lam == 0.0 or v.size == 0:
         return v.copy(), ProxDiagnostics(None, 0.0, 0, 0, 0.0)
-    x, _, c_star, eps, unit, point, outer, inner = _prox_lq_groups(
+    x, c_star, eps, unit, point, outer, inner = _prox_lq_groups(
         v, _one_group(v), lam, q)
     if eps[0] == 0.0:
         return x, ProxDiagnostics(None, 0.0, 0, 0, 0.0)
@@ -720,27 +753,27 @@ def prox_grouped(v: GroupedVector, lam, q, norms=None) -> GroupedVector:
 
     ``norms``, if given, is an output array of length ``v.n_groups`` that
     receives the lq-norm of each group of the result, so that the penalty
-    lam*sum(norms) costs no second pass over it. At q = 2 and q = inf the
-    kernels hold these norms already (eps times the input norm, and the
-    l1-ball threshold); at other q they are computed from the result.
+    lam*sum(norms) costs no second pass over it. The kernels supply them:
+    eps times the input norm at q = 2, the l1-ball threshold at q = inf,
+    and at other 1 < q < inf the norms of the kept groups alone, 0 for a
+    zeroed group. Only q = 1 and lam = 0 take them from the result.
     """
     _check_lam(lam)
     _check_q(q)
     if norms is not None and np.shape(norms) != (v.n_groups,):
         raise ValueError(f"norms must have shape ({v.n_groups},), got {np.shape(norms)}")
     vals, offsets = v.values, v.offsets
-    found = None
-    if lam == 0.0:
-        out = vals.copy()
-    elif q == 1.0:
-        out = prox_l1(vals, lam)
+    if lam == 0.0 or q == 1.0:
+        out = vals.copy() if lam == 0.0 else prox_l1(vals, lam)
+        if norms is not None:
+            norms[...] = group_norms(out, offsets, q)
+    elif math.isinf(q):
+        out, t = _prox_linf_groups(vals, offsets, lam)
+        if norms is not None:
+            norms[...] = t
     else:
-        out, found = (_prox_linf_groups(vals, offsets, lam) if math.isinf(q)
-                      else _prox_lq_groups(vals, offsets, lam, q))[:2]
-    out = v.with_values(out)
-    if norms is not None:
-        norms[...] = group_norms(out.values, offsets, q) if found is None else found
-    return out
+        out = _prox_lq_groups(vals, offsets, lam, q, norms)[0]
+    return v.with_values(out)
 
 
 def optimality_residual(x, v, lam, q):

@@ -301,8 +301,12 @@ def lambda_max(data: Dataset, kind: LossKind, offsets, q):
 
 
 def _checked_ratios(ratios):
-    """ratios as a float array, checked to decrease strictly within (0, 1]."""
+    """ratios as a float array, checked to be a nonempty one-dimensional
+    schedule that decreases strictly within (0, 1]."""
     ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1 or ratios.size == 0:
+        raise ValueError("ratios must be a nonempty one-dimensional schedule, "
+                         f"got shape {ratios.shape}")
     if np.any(ratios <= 0) or np.any(ratios > 1) or np.any(np.diff(ratios) >= 0):
         raise ValueError("ratios must be strictly decreasing within (0, 1]")
     return ratios

@@ -182,6 +182,15 @@ class TestPathCommand:
         assert lines[0].startswith("ratio,lambda,frobenius_error")
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_ratio_count_is_input_error(self, n, tmp_path, capsys):
+        out = tmp_path / "path.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["path", "--n-ratios", n, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--n-ratios: must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBenchCommand:
     def test_small_bench(self, tmp_path):
@@ -224,6 +233,13 @@ class TestDemoFixedPoint:
         err = capsys.readouterr().err
         assert "fixed_point_converged=False" in err
         assert "projection_residual=" in err
+
+    def test_negative_iteration_count_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        code = main(["demo-fixed-point", "--iters", "-1", "--out", str(out)])
+        assert code == 2
+        assert "error: iters must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBerCommand:

@@ -44,6 +44,9 @@ class TestConfig:
             ExperimentConfig(nonzero_dist="cauchy")
         with pytest.raises(ValueError):
             ExperimentConfig(ratios=np.array([0.5, 0.9]))
+        for ratios in ([], [[0.5, 0.4]]):
+            with pytest.raises(ValueError, match="nonempty one-dimensional"):
+                ExperimentConfig(ratios=ratios)
 
     @pytest.mark.parametrize("size", ["m", "d", "d_sparse", "k"])
     def test_sizes_must_be_positive(self, size):

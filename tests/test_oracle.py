@@ -92,6 +92,18 @@ class TestFixedPointTrace:
         with pytest.raises(ValueError):
             fixed_point_trace(np.array([1.0]), 0.5, 3.0, np.zeros(1), 5)
 
+    def test_negative_iteration_count_rejected(self):
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            fixed_point_trace(np.array([1.0, 3.0]), 0.5, 3.0,
+                              np.array([1.0, 3.0]), -5)
+
+    def test_zero_iterations_trace_the_start(self):
+        trace = fixed_point_trace(np.array([1.0, 3.0]), 0.5, 3.0,
+                                  np.array([2.0, 1.0]), 0)
+        assert not trace.truncated
+        assert len(trace.iterates) == 1
+        np.testing.assert_array_equal(trace.iterates[0], [2.0, 1.0])
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             fixed_point_trace(np.ones(2), 0.5, math.inf, np.ones(2), 5)

@@ -776,9 +776,89 @@ class TestProxGrouped:
         norms = np.full(len(groups), np.nan)
         out = prox_grouped(g, lam, q, norms)
         assert out.values.tobytes() == prox_grouped(g, lam, q).values.tobytes()
-        np.testing.assert_allclose(norms, group_norms(out.values, offsets, q),
-                                   rtol=1e-12, atol=0)
+        if q in (1.5, 3.0):
+            # the kernel takes the same reductions over each kept group
+            np.testing.assert_array_equal(
+                norms, group_norms(out.values, offsets, q))
+        else:
+            # at q = 1 and 2 the soft threshold and eps times the input
+            # norm, at q = inf the l1-ball threshold
+            np.testing.assert_allclose(
+                norms, group_norms(out.values, offsets, q), rtol=1e-12, atol=0)
         assert norms[1] == 0.0 and norms[0] > 0.0
+
+    @pytest.mark.parametrize("q", [1.5, 3.0, 5.0, 1e8])
+    def test_padding_with_zeroed_groups_changes_no_kept_byte(self, q):
+        # groups that project to zero, wherever they sit, leave the kept
+        # groups' x and norms and the kernel's counts as they were
+        rng = np.random.default_rng(47)
+        qbar = dual_exponent(q)
+        kept = [rng.standard_normal(n) for n in (5, 12, 3, 40)]
+        kept[1][[2, 7]] = 0.0
+        kept += [np.array([0.0, 2.0, -2.0, 0.0]),  # a point bracket
+                 np.array([0.0, -1.5])]             # one nonzero entry
+        lam = 0.5 * min(q_norm(g, qbar) for g in kept)
+
+        def scaled(g, ratio):  # g at dual norm ratio*lam
+            return g * (ratio * lam / q_norm(g, qbar))
+
+        pads = [np.zeros(4), scaled(rng.standard_normal(9), 0.5), np.zeros(1),
+                scaled(np.array([1.0, -1.0, 1.0]), 0.9),
+                scaled(rng.standard_normal(6), 1.0 - 1e-13),
+                scaled(rng.standard_normal(7), 1.0 + 1e-13),
+                scaled(np.array([0.0, 3.0, 0.0]), 0.99)]
+        padded = [h for pad, g in zip(pads, kept) for h in (pad, g)]
+        padded += pads[len(kept):]
+        is_pad = np.array([any(h is pad for pad in pads) for h in padded])
+
+        def run(groups):
+            offsets = np.cumsum([0] + [g.size for g in groups])
+            g = GroupedVector(np.concatenate(groups), offsets)
+            norms = np.full(len(groups), np.nan)
+            x = prox_grouped(g, lam, q, norms).values
+            steps, passes = prox_module._prox_lq_groups(
+                g.values, g.offsets, lam, q)[-2:]
+            return ([x[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])],
+                    norms, steps, passes)
+
+        x, norms, steps, passes = run(kept)
+        x_pad, norms_pad, steps_pad, passes_pad = run(padded)
+        assert np.all(norms > 0.0) and passes > 0
+        assert (steps_pad, passes_pad) == (steps, passes)
+        assert norms_pad[~is_pad].tobytes() == norms.tobytes()
+        for a, b in zip(x, [xp for xp, pad in zip(x_pad, is_pad) if not pad]):
+            assert a.tobytes() == b.tobytes()
+        assert np.all(norms_pad[is_pad] == 0.0)
+        for xp in (xp for xp, pad in zip(x_pad, is_pad) if pad):
+            assert np.all(xp == 0.0)
+
+    def test_norms_pass_over_the_kept_groups_alone(self, monkeypatch):
+        # of 200 groups of 50, lam keeps 3: the norms output reads their
+        # 150 coordinates, not all 10,000, and prox_lq_general, which
+        # discards the norms, forms none
+        rng = np.random.default_rng(53)
+        offsets = np.arange(0, 10_001, 50)
+        v = rng.standard_normal(10_000)
+        kept = [17, 101, 188]
+        for i in kept:
+            v[offsets[i]:offsets[i + 1]] *= 10.0
+        duals = group_norms(v, offsets, dual_exponent(3.0))
+        lam = 1.5 * np.delete(duals, kept).max()
+        seen = []
+        real = prox_module.group_norms
+
+        def recording(values, offsets, q):
+            seen.append(np.size(values))
+            return real(values, offsets, q)
+
+        monkeypatch.setattr(prox_module, "group_norms", recording)
+        norms = np.empty(200)
+        prox_grouped(GroupedVector(v, offsets), lam, 3.0, norms)
+        assert np.flatnonzero(norms).tolist() == kept
+        assert seen == [150]
+        seen.clear()
+        prox_lq_general(v[:50], 0.5 * duals[0], 3.0)
+        assert seen == []
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_q_below_one_rejected(self, lam):

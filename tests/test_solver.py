@@ -359,6 +359,13 @@ class TestRegPath:
         with pytest.raises(ValueError):
             reg_path(p.data, p.kind, p.offsets, p.q, [0.5, 1.5])
 
+    @pytest.mark.parametrize("ratios", [[], [[0.5, 0.4]], [[0.5], [0.4]], 0.5])
+    def test_empty_or_malformed_schedule_rejected(self, ratios):
+        p = small_problem()
+        with pytest.raises(ValueError,
+                           match="nonempty one-dimensional schedule"):
+            reg_path(p.data, p.kind, p.offsets, p.q, ratios)
+
     def test_warm_start_matches_cold_with_fewer_iterations(self):
         p = small_problem(seed=41)
         ratios = 0.9 ** np.arange(0, 51, 5)
